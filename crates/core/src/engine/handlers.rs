@@ -5,8 +5,8 @@ use simcore::{Priority, SimDuration};
 use simmem::VirtAddr;
 
 use super::xfer::{
-    Block, EagerRxMatched, EagerTx, NotifyPending, PendingCopy, PinAction, PinPlan, PinWaiter,
-    RecvXfer, SendXfer, ShmParked,
+    Block, BlockCount, EagerRxMatched, EagerTx, NotifyPending, PendingCopy, PinAction, PinPlan,
+    PinWaiter, RecvXfer, SendXfer, ShmParked,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
 use crate::driver::RegionId;
@@ -709,7 +709,7 @@ impl Cluster {
         let block_len = self.cfg.pull_block.min(limit - block_base);
         let nframes = block_len.div_ceil(chunk) as u32;
         debug_assert!(nframes <= 64, "pull block exceeds the frame mask");
-        let mut replies = Vec::new();
+        let mut replies = Vec::with_capacity(nframes as usize);
         let mut missed = false;
         {
             let n = &self.nodes[node];
@@ -720,13 +720,14 @@ impl Cluster {
                 }
                 let off = block_base + f as u64 * chunk;
                 let flen = chunk.min(limit - off);
-                let mut data = vec![0u8; flen as usize];
+                let mut data = self.frame_pool.take(flen as usize);
                 match r.read(&n.mem, off, &mut data) {
                     Ok(()) => replies.push((f, off, data)),
                     Err(_) => {
                         // Sender-side overlap miss: the pull request beat
                         // the pin cursor. Drop this frame; the receiver
                         // re-requests it.
+                        self.frame_pool.put(data);
                         missed = true;
                     }
                 }
@@ -913,13 +914,7 @@ impl Cluster {
             let frames = blen.div_ceil(chunk) as u32;
             assert!(frames <= 64, "pull_block too large for the frame mask");
             frames_total += frames as u64;
-            blocks.push(Block {
-                frames,
-                received: 0,
-                requested: false,
-                requested_at: self.now,
-                rerequested: false,
-            });
+            blocks.push(Block::new(frames, self.now));
         }
         let timeout = self.retrans_timeout(node, RetransKind::PullStall, pull.0, xfer, 0);
         let timer = self.arm_timer(timeout, TimerToken::PullStall(pull));
@@ -936,6 +931,7 @@ impl Cluster {
                 owned,
                 xfer_len,
                 blocks,
+                count: BlockCount::default(),
                 next_block: 0,
                 ioat_pending: 0,
                 frames_placed: 0,
@@ -1019,7 +1015,6 @@ impl Cluster {
             return false;
         }
         x.next_block += 1;
-        x.blocks[b as usize].requested = true;
         x.blocks[b as usize].requested_at = self.now;
         let mask = x.blocks[b as usize].missing_mask();
         let (proc, peer, msg, xfer_len, xfer) = (x.proc, x.peer, x.msg, x.xfer_len, x.xfer);
@@ -1131,8 +1126,7 @@ impl Cluster {
             self.counters.bump("pull_reply_bogus");
             return;
         }
-        let bit = 1u64 << frame;
-        if x.blocks[block as usize].received & bit != 0 {
+        if x.blocks[block as usize].has(frame) {
             self.counters.bump("dup_frames_rx");
             self.metrics.record_dup_frame();
             return; // duplicate frame
@@ -1184,14 +1178,15 @@ impl Cluster {
             );
             if let Some(x) = self.xfers.recv.get_mut(&pull) {
                 x.ioat_pending += 1;
-                x.blocks[block as usize].received |= bit;
+                x.set_received(block, frame);
             }
         } else {
             let n = &mut self.nodes[node];
             let r = n.driver.region(region);
             r.write(&mut n.mem, offset, &data).expect("pinned write");
+            self.frame_pool.put(data);
             if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                x.blocks[block as usize].received |= bit;
+                x.set_received(block, frame);
                 x.frames_placed += 1;
             }
         }
@@ -1228,18 +1223,19 @@ impl Cluster {
         }
         // Optimistic re-request (§4.3): receiving a frame of block `b`
         // while an *earlier* block still has holes and has not been
-        // re-requested recently means those frames were dropped.
+        // re-requested recently means those frames were dropped. Blocks
+        // below `first_open` are complete and blocks from `next_block` on
+        // were never requested, so only the range between can qualify.
         let guard = self.rerequest_guard();
         let mut rerequests = Vec::new();
         if self.cfg.optimistic_rerequest {
             if let Some(x) = self.xfers.recv.get(&pull) {
-                for (i, blk) in x.blocks.iter().enumerate() {
-                    if (i as u32) < block
-                        && blk.requested
-                        && !blk.complete()
+                for i in x.first_open()..block.min(x.next_block) {
+                    let blk = &x.blocks[i as usize];
+                    if !blk.complete()
                         && self.now.saturating_duration_since(blk.requested_at) > guard
                     {
-                        rerequests.push(i as u32);
+                        rerequests.push(i);
                     }
                 }
             }
@@ -1293,7 +1289,9 @@ impl Cluster {
         let pull = copy.pull;
         let n = &mut self.nodes[node];
         let r = n.driver.region(region);
-        match r.write(&mut n.mem, copy.offset, &copy.data) {
+        let landed = r.write(&mut n.mem, copy.offset, &copy.data);
+        self.frame_pool.put(copy.data);
+        match landed {
             Ok(()) => {
                 if let Some(x) = self.xfers.recv.get_mut(&pull) {
                     x.frames_placed += 1;
@@ -1303,7 +1301,7 @@ impl Cluster {
                 // Region was invalidated mid-copy: treat the frame as lost.
                 n.counters.bump("ioat_landing_miss");
                 if let Some(x) = self.xfers.recv.get_mut(&pull) {
-                    x.blocks[copy.block as usize].received &= !(1u64 << copy.frame);
+                    x.clear_received(copy.block, copy.frame);
                 }
             }
         }
@@ -2323,11 +2321,8 @@ impl Cluster {
                 // Re-request everything outstanding.
                 let stalled: Vec<u32> = {
                     let x = &self.xfers.recv[&pull];
-                    x.blocks
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, b)| b.requested && !b.complete())
-                        .map(|(i, _)| i as u32)
+                    (x.first_open()..x.next_block)
+                        .filter(|&i| !x.blocks[i as usize].complete())
                         .collect()
                 };
                 for b in stalled {

@@ -34,7 +34,7 @@ use crate::obs::tracer::DEFAULT_CAPACITY;
 use crate::obs::{CacheStats, FaultKind, Metrics, RetransKind, TraceEvent, TraceRecord, Tracer};
 use crate::wire::{Frame, MsgId, PullId, WireMsg, XferId};
 use rto::RttEstimator;
-use xfer::XferTables;
+use xfer::{FramePool, XferTables};
 
 /// Identifies a simulated process (rank).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -231,6 +231,7 @@ pub struct Cluster {
     pub(crate) nodes: Vec<Node>,
     pub(crate) procs: Vec<ProcSlot>,
     pub(crate) xfers: XferTables,
+    pub(crate) frame_pool: FramePool,
     pub(crate) next_msg: u64,
     pub(crate) next_pull: u64,
     pub(crate) next_xfer: u64,
@@ -283,6 +284,7 @@ impl Cluster {
             nodes,
             procs: Vec::new(),
             xfers: XferTables::default(),
+            frame_pool: FramePool::default(),
             next_msg: 0,
             next_pull: 0,
             next_xfer: 0,
@@ -389,14 +391,14 @@ impl Cluster {
                 }
             }
             Some(d) => {
-                while let Some(t) = self.queue.peek_time() {
-                    if t > d {
-                        self.now = d;
-                        break;
-                    }
-                    let (t, ev) = self.queue.pop().expect("peeked event");
+                while let Some((t, ev)) = self.queue.pop_until(d) {
                     self.now = t;
                     self.dispatch(ev);
+                }
+                // The clock jumps to the deadline only if an event is
+                // still queued past it.
+                if !self.queue.is_empty() {
+                    self.now = d;
                 }
             }
         }
@@ -412,11 +414,7 @@ impl Cluster {
     pub fn step_until(&mut self, deadline: SimTime) -> usize {
         self.start();
         let mut dispatched = 0usize;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.queue.pop().expect("peeked event");
+        while let Some((t, ev)) = self.queue.pop_until(deadline) {
             self.now = t;
             self.dispatch(ev);
             dispatched += 1;

@@ -74,10 +74,9 @@ pub(crate) struct SendXfer {
 pub(crate) struct Block {
     /// Frames in this block.
     pub frames: u32,
-    /// Bitmask of frames received (bit i = frame i).
-    pub received: u64,
-    /// Has the first request for this block been sent?
-    pub requested: bool,
+    /// Bitmask of frames received (bit i = frame i). Written only by
+    /// [`RecvXfer::set_received`] / [`RecvXfer::clear_received`].
+    received: u64,
     /// When this block was last (re)requested.
     pub requested_at: SimTime,
     /// The block has been re-requested: its completion time is ambiguous
@@ -86,6 +85,21 @@ pub(crate) struct Block {
 }
 
 impl Block {
+    /// A block of `frames` frames, none received yet.
+    pub fn new(frames: u32, requested_at: SimTime) -> Self {
+        Block {
+            frames,
+            received: 0,
+            requested_at,
+            rerequested: false,
+        }
+    }
+
+    /// True when frame `frame` arrived.
+    pub fn has(&self, frame: u32) -> bool {
+        self.received & (1u64 << frame) != 0
+    }
+
     /// True when every frame arrived.
     pub fn complete(&self) -> bool {
         self.received.count_ones() == self.frames
@@ -100,6 +114,15 @@ impl Block {
         };
         full & !self.received
     }
+}
+
+/// Completion bookkeeping over a transfer's blocks: how many are complete,
+/// and the first that is not (every block below it is complete). Only
+/// [`RecvXfer::set_received`] / [`RecvXfer::clear_received`] change it.
+#[derive(Default)]
+pub(crate) struct BlockCount {
+    done: usize,
+    first_open: usize,
 }
 
 /// Receiver-side state of a rendezvous transfer (one pull transaction).
@@ -118,7 +141,9 @@ pub(crate) struct RecvXfer {
     /// Bytes actually transferred (min of sent and posted length).
     pub xfer_len: u64,
     pub blocks: Vec<Block>,
-    /// Next block index to request for the first time.
+    pub count: BlockCount,
+    /// Next block index to request for the first time: blocks below it
+    /// have been requested, blocks from it on have not.
     pub next_block: u32,
     /// I/OAT copies still in flight.
     pub ioat_pending: u32,
@@ -130,9 +155,44 @@ pub(crate) struct RecvXfer {
 }
 
 impl RecvXfer {
+    /// Mark frame `frame` of `block` received.
+    pub fn set_received(&mut self, block: u32, frame: u32) {
+        let b = &mut self.blocks[block as usize];
+        debug_assert!(frame < b.frames, "frame outside its block");
+        let was_complete = b.complete();
+        b.received |= 1u64 << frame;
+        if !was_complete && b.complete() {
+            self.count.done += 1;
+            while self
+                .blocks
+                .get(self.count.first_open)
+                .is_some_and(Block::complete)
+            {
+                self.count.first_open += 1;
+            }
+        }
+    }
+
+    /// Mark frame `frame` of `block` missing again.
+    pub fn clear_received(&mut self, block: u32, frame: u32) {
+        let b = &mut self.blocks[block as usize];
+        if b.complete() && b.has(frame) {
+            self.count.done -= 1;
+            self.count.first_open = self.count.first_open.min(block as usize);
+        }
+        b.received &= !(1u64 << frame);
+    }
+
+    /// The first incomplete block (`blocks.len()` when all are complete).
+    pub fn first_open(&self) -> u32 {
+        self.count.first_open as u32
+    }
+
     /// All frames received (masks full)?
     pub fn all_received(&self) -> bool {
-        self.blocks.iter().all(Block::complete)
+        let all = self.count.done == self.blocks.len();
+        debug_assert_eq!(all, self.blocks.iter().all(Block::complete));
+        all
     }
 
     /// Transfer is done when everything is received *and* placed.
@@ -158,6 +218,31 @@ pub(crate) struct PendingCopy {
     pub frame: u32,
     pub offset: u64,
     pub data: Vec<u8>,
+}
+
+/// Recycled pull-reply payload buffers: the sender fills one per frame
+/// from its memory, the receiver hands it back once the bytes have landed.
+#[derive(Default)]
+pub(crate) struct FramePool(Vec<Vec<u8>>);
+
+impl FramePool {
+    /// Most buffers kept: one pull block of the largest size (64 frames).
+    const CAP: usize = 64;
+
+    /// A buffer of `len` bytes whose contents are stale; the caller
+    /// overwrites all of it.
+    pub fn take(&mut self, len: usize) -> Vec<u8> {
+        let mut buf = self.0.pop().unwrap_or_default();
+        buf.resize(len, 0);
+        buf
+    }
+
+    /// Hand a buffer back (dropped when the pool is full).
+    pub fn put(&mut self, buf: Vec<u8>) {
+        if self.0.len() < Self::CAP {
+            self.0.push(buf);
+        }
+    }
 }
 
 /// What to do when a region's pin cursor reaches a threshold.
@@ -259,20 +344,17 @@ pub(crate) struct XferTables {
 
 #[cfg(test)]
 mod tests {
+    use simcore::SimRng;
+
     use super::*;
 
     #[test]
     fn block_mask_arithmetic() {
-        let mut b = Block {
-            frames: 8,
-            received: 0,
-            requested: false,
-            requested_at: SimTime::ZERO,
-            rerequested: false,
-        };
+        let mut b = Block::new(8, SimTime::ZERO);
         assert!(!b.complete());
         assert_eq!(b.missing_mask(), 0xff);
         b.received |= 1 << 3;
+        assert!(b.has(3));
         assert_eq!(b.missing_mask(), 0xf7);
         b.received = 0xff;
         assert!(b.complete());
@@ -281,14 +363,69 @@ mod tests {
 
     #[test]
     fn block_with_64_frames() {
-        let b = Block {
-            frames: 64,
-            received: u64::MAX - 1,
-            requested: true,
-            requested_at: SimTime::ZERO,
-            rerequested: false,
-        };
+        let mut b = Block::new(64, SimTime::ZERO);
+        b.received = u64::MAX - 1;
         assert!(!b.complete());
         assert_eq!(b.missing_mask(), 1);
+    }
+
+    fn recv_xfer(frames: &[u32]) -> RecvXfer {
+        RecvXfer {
+            req: RequestId(0),
+            xfer: XferId(0),
+            proc: ProcId(0),
+            peer: EndpointAddr {
+                proc: ProcId(1),
+                incarnation: 0,
+            },
+            msg: MsgId(0),
+            region: RegionId(0),
+            node: 0,
+            owned: false,
+            xfer_len: 0,
+            blocks: frames
+                .iter()
+                .map(|&f| Block::new(f, SimTime::ZERO))
+                .collect(),
+            count: BlockCount::default(),
+            next_block: 0,
+            ioat_pending: 0,
+            frames_placed: 0,
+            frames_total: 0,
+            stall_timer: None,
+            retries: 0,
+        }
+    }
+
+    /// Random set/clear sequences — duplicates, clears of missing frames
+    /// and clears inside complete blocks included — keep the counters
+    /// equal to a brute-force recount after every step.
+    #[test]
+    fn block_count_matches_recount() {
+        for seed in 0..16 {
+            let mut rng = SimRng::new(seed);
+            let frames: Vec<u32> = (0..1 + rng.below(12))
+                .map(|_| 1 + rng.below(4) as u32)
+                .collect();
+            let mut x = recv_xfer(&frames);
+            for _ in 0..2_000 {
+                let block = rng.below(frames.len() as u64) as u32;
+                let frame = rng.below(frames[block as usize] as u64) as u32;
+                if rng.chance(0.7) {
+                    x.set_received(block, frame);
+                } else {
+                    x.clear_received(block, frame);
+                }
+                let done = x.blocks.iter().filter(|b| b.complete()).count();
+                let first_open = x
+                    .blocks
+                    .iter()
+                    .position(|b| !b.complete())
+                    .unwrap_or(x.blocks.len());
+                assert_eq!(x.count.done, done, "seed {seed}");
+                assert_eq!(x.count.first_open, first_open, "seed {seed}");
+                assert_eq!(x.all_received(), done == x.blocks.len());
+            }
+        }
     }
 }

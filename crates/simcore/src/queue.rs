@@ -1,55 +1,50 @@
 //! The event queue at the heart of the simulator.
 //!
-//! A binary heap of `(time, sequence)`-ordered entries. The sequence number
-//! makes ordering *stable*: two events scheduled for the same instant pop in
-//! the order they were scheduled, which keeps simulations deterministic.
+//! Payloads live in a slot table: a `Vec` of slots, each recording the
+//! sequence number of the event it holds, with freed slots reused from a
+//! free list. A binary heap orders small `(time, seq, slot)` keys by
+//! `(time, seq)`. The sequence number makes ordering *stable*: two events
+//! scheduled for the same instant pop in the order they were scheduled,
+//! which keeps simulations deterministic.
 //!
 //! Events can be cancelled by [`EventId`] (used for retransmission timers
-//! that are disarmed when the ack arrives). Cancellation is lazy — the entry
-//! stays in the heap and is skipped on pop — which keeps `cancel` O(1).
+//! that are disarmed when the ack arrives). An id names its slot and its
+//! sequence number, so `cancel` is O(1) without hashing: it drops the
+//! payload and frees the slot when the slot still holds that event, and
+//! does nothing when the event already fired or was cancelled (even if the
+//! slot has since been reused). The heap key stays behind and is skipped
+//! on pop because its slot no longer holds its sequence number.
+//!
+//! [`EventQueue::pop_until`] pops the earliest event only if it is due by a
+//! deadline, so a stepping loop needs no separate peek.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
 /// Identifies a scheduled event so it can be cancelled later.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(u64);
-
-struct Entry<T> {
-    time: SimTime,
+pub struct EventId {
+    slot: u32,
     seq: u64,
-    payload: T,
 }
 
-impl<T> PartialEq for Entry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for Entry<T> {}
-
-impl<T> Ord for Entry<T> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the earliest first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<T> PartialOrd for Entry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// One payload slot: the sequence number of the event it last held, and
+/// the payload while that event is pending.
+struct Slot<T> {
+    seq: u64,
+    payload: Option<T>,
 }
 
 /// A time-ordered, stable, cancellable event queue.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Entry<T>>,
-    live: HashSet<u64>,
-    cancelled: HashSet<u64>,
+    /// `(time, seq, slot)` keys, earliest first; keys of cancelled events
+    /// stay until they reach the top.
+    heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
+    slots: Vec<Slot<T>>,
+    free: Vec<u32>,
+    live: usize,
     next_seq: u64,
     last_popped: SimTime,
 }
@@ -65,8 +60,9 @@ impl<T> EventQueue<T> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
             next_seq: 0,
             last_popped: SimTime::ZERO,
         }
@@ -86,44 +82,73 @@ impl<T> EventQueue<T> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
-        self.heap.push(Entry { time, seq, payload });
-        EventId(seq)
+        let filled = Slot {
+            seq,
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = filled;
+                slot
+            }
+            None => {
+                self.slots.push(filled);
+                u32::try_from(self.slots.len() - 1).expect("over 2^32 pending events")
+            }
+        };
+        self.live += 1;
+        self.heap.push(Reverse((time, seq, slot)));
+        EventId { slot, seq }
+    }
+
+    /// Take the payload of event `seq` out of `slot` and free the slot, if
+    /// the slot still holds that event.
+    fn take(&mut self, slot: u32, seq: u64) -> Option<T> {
+        let s = self.slots.get_mut(slot as usize)?;
+        if s.seq != seq {
+            return None;
+        }
+        let payload = s.payload.take()?;
+        self.free.push(slot);
+        self.live -= 1;
+        Some(payload)
     }
 
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending (not yet popped or cancelled). Cancelling an already
     /// fired event is a harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        if !self.live.remove(&id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        true
+        self.take(id.slot, id.seq).is_some()
     }
 
     /// Remove and return the earliest pending event, skipping cancelled ones.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
-                continue;
+        while let Some(Reverse((time, seq, slot))) = self.heap.pop() {
+            if let Some(payload) = self.take(slot, seq) {
+                self.last_popped = time;
+                return Some((time, payload));
             }
-            self.live.remove(&entry.seq);
-            self.last_popped = entry.time;
-            return Some((entry.time, entry.payload));
         }
         None
     }
 
+    /// Remove and return the earliest pending event if it fires at or
+    /// before `deadline`; later events stay queued.
+    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
+        if self.peek_time()? > deadline {
+            return None;
+        }
+        self.pop()
+    }
+
     /// The timestamp of the next pending (non-cancelled) event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = self.heap.pop().expect("peeked entry vanished").seq;
-                self.cancelled.remove(&seq);
-                continue;
+        while let Some(&Reverse((time, seq, slot))) = self.heap.peek() {
+            let s = &self.slots[slot as usize];
+            if s.seq == seq && s.payload.is_some() {
+                return Some(time);
             }
-            return Some(entry.time);
+            self.heap.pop();
         }
         None
     }
@@ -135,12 +160,12 @@ impl<T> EventQueue<T> {
 
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.live
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.live == 0
     }
 
     /// The timestamp of the most recently popped event — the queue's notion
@@ -152,7 +177,10 @@ impl<T> EventQueue<T> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::rng::SimRng;
     use crate::time::SimDuration;
 
     fn t(us: u64) -> SimTime {
@@ -199,7 +227,7 @@ mod tests {
         let a = q.schedule(t(1), "a");
         assert_eq!(q.pop(), Some((t(1), "a")));
         assert!(!q.cancel(a));
-        // Re-scheduling still works and the tombstone set stays clean.
+        // Re-scheduling still works.
         q.schedule(t(2), "b");
         assert_eq!(q.pop(), Some((t(2), "b")));
     }
@@ -207,7 +235,10 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_noop() {
         let mut q: EventQueue<&str> = EventQueue::new();
-        assert!(!q.cancel(EventId(999)));
+        assert!(!q.cancel(EventId {
+            slot: 999,
+            seq: 999
+        }));
     }
 
     #[test]
@@ -217,6 +248,104 @@ mod tests {
         assert!(q.cancel(a));
         assert!(!q.cancel(a));
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn stale_id_does_not_cancel_slot_reuser() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        assert!(q.cancel(a));
+        let b = q.schedule(t(1), "b");
+        assert_eq!(a.slot, b.slot, "the freed slot is reused");
+        assert!(!q.cancel(a));
+        assert_eq!(q.len(), 1);
+        let c = q.schedule(t(2), "c");
+        assert_eq!(q.pop(), Some((t(1), "b")));
+        // `b` fired; its slot goes to `d`, which a late cancel of `b` must
+        // leave alone.
+        let d = q.schedule(t(3), "d");
+        assert_eq!(b.slot, d.slot);
+        assert!(!q.cancel(b));
+        assert!(q.cancel(c));
+        assert_eq!(q.pop(), Some((t(3), "d")));
+        assert!(q.is_empty());
+    }
+
+    #[test]
+    fn pop_until_leaves_later_events_queued() {
+        let mut q = EventQueue::new();
+        let a = q.schedule(t(1), "a");
+        q.schedule(t(2), "b");
+        q.schedule(t(5), "c");
+        q.cancel(a);
+        assert_eq!(q.pop_until(t(4)), Some((t(2), "b")));
+        assert_eq!(q.pop_until(t(4)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.now(), t(2));
+        assert_eq!(q.pop_until(t(5)), Some((t(5), "c")));
+        assert_eq!(q.pop_until(t(9)), None);
+    }
+
+    /// Thousands of mixed operations against a naive `BTreeMap` keyed by
+    /// `(time, seq)`: every result and every `len()` must agree. Times are
+    /// drawn from a few values so ties are common, and cancels pick from
+    /// every id ever issued, so stale ids (fired, cancelled, slot reused)
+    /// are cancelled often.
+    #[test]
+    fn differential_against_btreemap() {
+        for seed in 0..8 {
+            let mut rng = SimRng::new(seed);
+            let mut q = EventQueue::new();
+            let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
+            let mut issued: Vec<(EventId, SimTime, u64)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            for step in 0..4_000u64 {
+                match rng.below(10) {
+                    0..=3 => {
+                        let at = now + SimDuration::from_nanos(100 * rng.below(6));
+                        let id = q.schedule(at, step);
+                        let seq = issued.len() as u64;
+                        model.insert((at, seq), step);
+                        issued.push((id, at, seq));
+                    }
+                    4 | 5 if !issued.is_empty() => {
+                        let (id, at, seq) = issued[rng.below(issued.len() as u64) as usize];
+                        assert_eq!(q.cancel(id), model.remove(&(at, seq)).is_some());
+                    }
+                    6 => {
+                        let want = model.pop_first().map(|((at, _), v)| (at, v));
+                        assert_eq!(q.pop(), want);
+                        if let Some((at, _)) = want {
+                            now = at;
+                        }
+                    }
+                    7 | 8 => {
+                        let deadline = now + SimDuration::from_nanos(100 * rng.below(4));
+                        let want = match model.first_key_value() {
+                            Some((&(at, _), _)) if at <= deadline => {
+                                model.pop_first().map(|((at, _), v)| (at, v))
+                            }
+                            _ => None,
+                        };
+                        assert_eq!(q.pop_until(deadline), want);
+                        if let Some((at, _)) = want {
+                            now = at;
+                        }
+                    }
+                    _ => {
+                        let want = model.first_key_value().map(|(&(at, _), _)| at);
+                        assert_eq!(q.peek_time(), want);
+                    }
+                }
+                assert_eq!(q.len(), model.len(), "seed {seed} step {step}");
+                assert_eq!(q.now(), now);
+            }
+            while let Some(((at, _), v)) = model.pop_first() {
+                assert_eq!(q.pop(), Some((at, v)));
+            }
+            assert_eq!(q.pop(), None);
+            assert!(q.is_empty());
+        }
     }
 
     #[test]
