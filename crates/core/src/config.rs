@@ -226,11 +226,6 @@ pub struct OpenMxConfig {
     pub pull_window: u32,
     /// Pages pinned per on-demand chunk (overlap granularity).
     pub pin_chunk_pages: u64,
-    /// Issue one `pin_user_pages` call per page instead of batching each
-    /// contiguous run of a chunk into a single call. Differential-test
-    /// oracle for the batched path; the simulated cost model is identical,
-    /// only the number of `Memory` pin calls differs.
-    pub per_page_pin: bool,
     /// User-space region cache capacity (LRU above this).
     pub cache_capacity: usize,
     /// Driver-enforced ceiling on pinned pages per node; exceeding it
@@ -268,17 +263,6 @@ pub struct OpenMxConfig {
     /// (Jacobson/Karels) with exponential backoff per attempt, instead of
     /// re-arming the fixed `retransmit_timeout` every time.
     pub adaptive_retransmit: bool,
-    /// Backoff multiplier per retry attempt (adaptive mode).
-    pub retransmit_backoff: f64,
-    /// Floor on the adaptive timeout: an RTT estimate from a fast fabric
-    /// must not retransmit so eagerly that queueing jitter looks like loss.
-    pub retransmit_min: SimDuration,
-    /// Deterministic jitter fraction applied to adaptive timeouts (breaks
-    /// retransmission synchronization between transfers).
-    pub retransmit_jitter: f64,
-    /// Cores per node (application processes round-robin onto cores 1..;
-    /// core 0 also runs the interrupt bottom half).
-    pub cores_per_node: usize,
     /// Physical frames per node.
     pub frames_per_node: usize,
     /// Swap pages per node.
@@ -288,6 +272,18 @@ pub struct OpenMxConfig {
 }
 
 impl OpenMxConfig {
+    /// Backoff multiplier per retry attempt (adaptive mode).
+    pub const RETRANSMIT_BACKOFF: f64 = 2.0;
+    /// Floor on the adaptive timeout: an RTT estimate from a fast fabric
+    /// must not retransmit so eagerly that queueing jitter looks like loss.
+    pub const RETRANSMIT_MIN: SimDuration = SimDuration::from_millis(1);
+    /// Deterministic jitter fraction applied to adaptive timeouts (breaks
+    /// retransmission synchronization between transfers).
+    pub const RETRANSMIT_JITTER: f64 = 0.1;
+    /// Cores per node (application processes round-robin onto cores 1..;
+    /// core 0 also runs the interrupt bottom half).
+    pub const CORES_PER_NODE: usize = 4;
+
     /// The paper's measurement platform: Xeon E5460 + Myri-10G, MXoE
     /// defaults, notifier-backed cache off (mode chooses), I/OAT off.
     pub fn paper_default() -> Self {
@@ -301,7 +297,6 @@ impl OpenMxConfig {
             pull_block: 64 * 1024,
             pull_window: 2,
             pin_chunk_pages: 32,
-            per_page_pin: false,
             cache_capacity: 64,
             pinned_pages_limit: None,
             pin_quota: None,
@@ -312,10 +307,6 @@ impl OpenMxConfig {
             retransmit_timeout: SimDuration::from_secs(1),
             max_retries: 16,
             adaptive_retransmit: true,
-            retransmit_backoff: 2.0,
-            retransmit_min: SimDuration::from_millis(1),
-            retransmit_jitter: 0.1,
-            cores_per_node: 4,
             frames_per_node: 64 * 1024, // 256 MiB per node
             swap_per_node: 16 * 1024,
             seed: 0x0123_4567_89ab_cdef,
@@ -336,25 +327,14 @@ impl OpenMxConfig {
         if self.max_retries < 1 {
             return Err("max_retries must be >= 1".to_string());
         }
-        if self.retransmit_backoff < 1.0 {
-            return Err(format!(
-                "retransmit_backoff = {} must be >= 1.0",
-                self.retransmit_backoff
-            ));
-        }
         if self.notifier_epoch.is_zero() {
             return Err("notifier_epoch must be > 0".to_string());
         }
-        if !(0.0..=1.0).contains(&self.retransmit_jitter) {
+        if self.retransmit_timeout < Self::RETRANSMIT_MIN {
             return Err(format!(
-                "retransmit_jitter = {} not in [0, 1]",
-                self.retransmit_jitter
-            ));
-        }
-        if self.retransmit_min.is_zero() || self.retransmit_min > self.retransmit_timeout {
-            return Err(format!(
-                "retransmit_min = {} must be in (0, retransmit_timeout = {}]",
-                self.retransmit_min, self.retransmit_timeout
+                "retransmit_timeout = {} must be >= {}",
+                self.retransmit_timeout,
+                Self::RETRANSMIT_MIN
             ));
         }
         if let Some(q) = self.pin_quota {
@@ -430,13 +410,7 @@ mod tests {
         c.max_retries = 0;
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
-        c.retransmit_backoff = 0.5;
-        assert!(c.validate().is_err());
-        let mut c = OpenMxConfig::paper_default();
-        c.retransmit_jitter = 1.5;
-        assert!(c.validate().is_err());
-        let mut c = OpenMxConfig::paper_default();
-        c.retransmit_min = c.retransmit_timeout + SimDuration::from_nanos(1);
+        c.retransmit_timeout = OpenMxConfig::RETRANSMIT_MIN - SimDuration::from_nanos(1);
         assert!(c.validate().is_err());
         let mut c = OpenMxConfig::paper_default();
         c.notifier_epoch = SimDuration::ZERO;

@@ -9,6 +9,7 @@ use super::xfer::{
     PinWaiter, RecvXfer, SendXfer, ShmParked,
 };
 use super::{AppEvent, Cluster, Event, OverlapHint, ProcId, SyscallAction, TimerToken, Work};
+use crate::config::OpenMxConfig;
 use crate::driver::RegionId;
 use crate::endpoint::{EagerRx, EndpointAddr, PostedRecv, RequestId, Unexpected};
 use crate::obs::{RetransKind, TraceEvent};
@@ -1889,7 +1890,6 @@ impl Cluster {
             return;
         }
         let want = self.cfg.pin_chunk_pages.min(target - cursor);
-        let per_page = self.cfg.per_page_pin;
         let (result, pin_calls, stale_released, attached_before) = {
             let n = &mut self.nodes[node];
             let calls_before = n.mem.pin_calls();
@@ -1900,7 +1900,7 @@ impl Cluster {
             // what a failed pass rolls back below.
             let stale = r.stale_pages();
             let attached = r.pinned_pages();
-            let result = n.driver.pin_chunk(&mut n.mem, region, want, per_page);
+            let result = n.driver.pin_chunk(&mut n.mem, region, want, false);
             (result, n.mem.pin_calls() - calls_before, stale, attached)
         };
         self.nodes[node].counters.add("pin_syscalls", pin_calls);
@@ -2421,6 +2421,6 @@ impl Cluster {
         // late produces duplicate traffic that makes the congestion worse.
         static_guard
             .max(self.rtt.rto().unwrap_or(SimDuration::ZERO))
-            .max(self.cfg.retransmit_min)
+            .max(OpenMxConfig::RETRANSMIT_MIN)
     }
 }

@@ -258,14 +258,15 @@ impl Cluster {
     /// Build a cluster of `node_count` hosts with the given configuration.
     pub fn new(cfg: OpenMxConfig, node_count: usize) -> Self {
         assert!(node_count >= 1);
-        assert!(cfg.cores_per_node >= 1);
         cfg.validate().expect("invalid OpenMxConfig");
         let rng = SimRng::new(cfg.seed);
         let net = Network::new(node_count, cfg.net.clone(), rng.derive_stream("net"));
         let nodes = (0..node_count)
             .map(|_| Node {
                 mem: Memory::new(cfg.frames_per_node, cfg.swap_per_node),
-                cores: (0..cfg.cores_per_node).map(|_| CpuCore::new()).collect(),
+                cores: (0..OpenMxConfig::CORES_PER_NODE)
+                    .map(|_| CpuCore::new())
+                    .collect(),
                 ioat: IoatEngine::default_chipset(),
                 driver: {
                     let mut d = Driver::new(cfg.pinned_pages_limit);
@@ -1063,7 +1064,7 @@ impl Cluster {
     /// retransmission off this is the configured fixed timeout; on, it is
     /// the RTT estimator's RTO (falling back to the fixed timeout before
     /// any sample) scaled by `backoff^attempt`, clamped to
-    /// `[retransmit_min, retransmit_timeout]`, with deterministic jitter
+    /// `[RETRANSMIT_MIN, retransmit_timeout]`, with deterministic jitter
     /// on top. Emits a [`TraceEvent::Backoff`] and feeds the `rto_applied`
     /// histogram so backoff decisions are observable.
     pub(crate) fn retrans_timeout(
@@ -1079,10 +1080,10 @@ impl Cluster {
             return cfg_max;
         }
         let base = self.rtt.rto().unwrap_or(cfg_max);
-        let exp = self.cfg.retransmit_backoff.powi(attempt.min(16) as i32);
+        let exp = OpenMxConfig::RETRANSMIT_BACKOFF.powi(attempt.min(16) as i32);
         let scaled = (base.as_nanos() as f64 * exp).min(cfg_max.as_nanos() as f64) as u64;
-        let clamped = scaled.max(self.cfg.retransmit_min.as_nanos());
-        let jitter = 1.0 + self.cfg.retransmit_jitter * self.retrans_rng.unit_f64();
+        let clamped = scaled.max(OpenMxConfig::RETRANSMIT_MIN.as_nanos());
+        let jitter = 1.0 + OpenMxConfig::RETRANSMIT_JITTER * self.retrans_rng.unit_f64();
         let rto = SimDuration::from_nanos((clamped as f64 * jitter) as u64);
         self.metrics.rto_applied.record(rto);
         self.emit(

@@ -1,6 +1,6 @@
 //! Per-address-space interval index from segment page ranges to region
-//! ids, shared by the single-threaded [`crate::driver::Driver`] and the
-//! sharded concurrent driver in [`crate::sync`].
+//! ids, used by [`crate::driver::Driver`] to find the regions a notifier
+//! invalidation hits.
 //!
 //! Keys are `(start_vpn, region_id)` so one region can contribute
 //! several (even same-start) segments; the value is the exclusive end vpn

@@ -59,21 +59,12 @@ pub struct RegionLayout {
 pub enum DeclareError {
     /// Every segment had zero length — there is nothing to pin.
     EmptyRegion,
-    /// The concurrent driver's fixed-capacity region table is full.
-    TableFull,
-    /// A driver lock was poisoned by a panicking thread; the declare
-    /// degrades to a counted failure instead of propagating the panic.
-    DriverUnavailable,
 }
 
 impl std::fmt::Display for DeclareError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeclareError::EmptyRegion => write!(f, "empty region (all segments zero-length)"),
-            DeclareError::TableFull => write!(f, "region table full"),
-            DeclareError::DriverUnavailable => {
-                write!(f, "driver lock poisoned; declare refused")
-            }
         }
     }
 }
@@ -373,8 +364,8 @@ impl DriverRegion {
 
     /// The pre-batching pin loop: one [`Memory::pin_user_pages`] call per
     /// page. Kept as the differential-test oracle for the batched path
-    /// (and reachable in the engine behind
-    /// [`per_page_pin`](crate::config::OpenMxConfig::per_page_pin)); both
+    /// (and reachable through the `per_page` flag of
+    /// [`Driver::pin_chunk`](crate::driver::Driver::pin_chunk)); both
     /// must produce the same pins, cursor and failure/rollback behavior.
     pub fn pin_next_chunk_per_page(
         &mut self,
