@@ -173,7 +173,7 @@ fn run_scenario(s: &Scenario) -> ScenarioRun {
     let end = rec.finished.expect("stream receiver finished");
     let bw = Bandwidth::measured(msg * msgs as u64, end.duration_since(start));
     let c = cl.counters();
-    let misses = c.get("overlap_miss_rx") + c.get("overlap_miss_tx");
+    let misses = cl.metrics().overlap_misses() + c.get("overlap_miss_tx");
     let frames = c.get("frames_rx").max(1);
     let _ = summarize; // (records already checked per-rank above)
     let pin = &cl.metrics().pin_latency;

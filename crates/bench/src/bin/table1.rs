@@ -100,7 +100,7 @@ fn main() {
             .collect();
         let results = parallel_map(jobs, |(msg, mode)| iter_time_us(profile, mode, msg));
         let mut points = Vec::new();
-        let mut pin_metrics = openmx_core::Metrics::new();
+        let mut pin_metrics = openmx_core::Metrics::default();
         for (i, &msg) in sizes.iter().enumerate() {
             let pages = (msg / PAGE_SIZE) as f64;
             // 4 pin+unpin cycles per pingpong iteration; permanent mode

@@ -36,7 +36,7 @@ fn observe(cl: &openmx_core::Cluster) -> (f64, u64, u64) {
     (
         p50,
         pin.count(),
-        c.get("overlap_miss_rx") + c.get("overlap_miss_tx"),
+        cl.metrics().overlap_misses() + c.get("overlap_miss_tx"),
     )
 }
 
@@ -44,7 +44,7 @@ fn observe(cl: &openmx_core::Cluster) -> (f64, u64, u64) {
 fn imb_total(mode: PinningMode, kernel: ImbKernel) -> BenchRun {
     let cfg = OpenMxConfig::with_mode(mode);
     let mut total = SimDuration::ZERO;
-    let mut pin = openmx_core::Metrics::new();
+    let mut pin = openmx_core::Metrics::default();
     let mut misses = 0;
     for msg in [256 * 1024u64, 512 * 1024, 1 << 20, 2 << 20] {
         let iters = 12;

@@ -337,7 +337,7 @@ fn run_world(rounds: u32, quota: Option<PinQuota>) -> WorldReport {
         victims_suffered,
         aggressor_peak: tenant(0).peak_pinned_pages,
         aggressor_denials: tenant(0).quota_denials,
-        pressure_pages: cl.node_counters(0).get("pressure_unpinned_pages"),
+        pressure_pages: cl.driver(0).stats().pressure_unpinned_pages,
     }
 }
 

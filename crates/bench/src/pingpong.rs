@@ -48,7 +48,7 @@ pub fn pingpong_throughput(cfg: &OpenMxConfig, msg: u64) -> PingPongPoint {
     PingPongPoint {
         msg,
         mib_per_sec: bw.as_mib_per_sec(),
-        overlap_misses: c.get("overlap_miss_rx") + c.get("overlap_miss_tx"),
+        overlap_misses: m.overlap_misses() + c.get("overlap_miss_tx"),
         pin_p50_us: q(0.50),
         pin_p95_us: q(0.95),
         pin_p99_us: q(0.99),

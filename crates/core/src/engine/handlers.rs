@@ -193,7 +193,7 @@ impl Cluster {
         let xfer = self.alloc_xfer();
         let node = self.procs[proc.0 as usize].node;
         let Ok(data) = self.read_segments(proc, segments, len) else {
-            self.nodes[node].counters.bump("requests_failed");
+            self.metrics.bump(node, "requests_failed");
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
         };
@@ -218,7 +218,7 @@ impl Cluster {
                 req,
             },
         );
-        self.nodes[node].counters.bump("shm_msgs_tx");
+        self.metrics.bump(node, "shm_msgs_tx");
     }
 
     fn on_shm_send(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
@@ -228,7 +228,7 @@ impl Cluster {
             // sender gets a clean failure; a dead one gets silence.
             if !self.procs[owner.0 as usize].crashed {
                 let node = self.procs[owner.0 as usize].node;
-                self.nodes[node].counters.bump("requests_failed");
+                self.metrics.bump(node, "requests_failed");
                 self.notify_app(owner, AppEvent::Failed(req, "peer crashed"));
             }
             return;
@@ -243,8 +243,8 @@ impl Cluster {
             // parking bytes on a dead endpoint.
             self.xfers.shm.remove(&msg);
             let node = self.procs[owner.0 as usize].node;
-            self.nodes[node].counters.bump("requests_failed");
-            self.nodes[node].counters.bump("peer_dead_aborts");
+            self.metrics.bump(node, "requests_failed");
+            self.metrics.bump(node, "peer_dead_aborts");
             self.notify_app(owner, AppEvent::Failed(req, "peer crashed"));
             return;
         }
@@ -303,7 +303,7 @@ impl Cluster {
             Err(_) => {
                 // The receiver unmapped its posted buffer mid-delivery:
                 // the copy faults (EFAULT), the request fails cleanly.
-                self.nodes[node].counters.bump("requests_failed");
+                self.metrics.bump(node, "requests_failed");
                 self.notify_app(proc, AppEvent::Failed(req, "receive buffer unmapped"));
             }
         }
@@ -324,7 +324,7 @@ impl Cluster {
         let xfer = self.alloc_xfer();
         let node = self.procs[proc.0 as usize].node;
         let Ok(data) = self.read_segments(proc, segments, len) else {
-            self.nodes[node].counters.bump("requests_failed");
+            self.metrics.bump(node, "requests_failed");
             self.notify_app(proc, AppEvent::Failed(req, "send source unmapped"));
             return;
         };
@@ -354,7 +354,7 @@ impl Cluster {
                 req,
             },
         );
-        self.nodes[node].counters.bump("eager_msgs_tx");
+        self.metrics.bump(node, "eager_msgs_tx");
     }
 
     fn on_eager_copy_out(&mut self, owner: ProcId, msg: MsgId, req: RequestId) {
@@ -427,6 +427,7 @@ impl Cluster {
         data: Vec<u8>,
     ) {
         let idx = dst.0 as usize;
+        let node = self.procs[idx].node;
         if self.procs[idx].endpoint.is_completed(msg) {
             // Duplicate of a finished message: just re-ack.
             let ack = self.frame(dst, src, WireMsg::EagerAck { msg, xfer });
@@ -436,8 +437,7 @@ impl Cluster {
         // Matched, still reassembling?
         if let Some(m) = self.xfers.eager_rx.get_mut(&msg) {
             if m.rx.has_frag(frag) {
-                self.counters.bump("eager_dup_frags");
-                self.metrics.record_dup_frame();
+                self.metrics.bump(node, "eager_dup_frags");
                 return;
             }
             if m.rx.absorb(frag, offset, &data) {
@@ -450,8 +450,7 @@ impl Cluster {
         // Unexpected, still reassembling?
         if let Some(u) = self.procs[idx].endpoint.unexpected_eager_mut(msg) {
             if u.has_frag(frag) {
-                self.counters.bump("eager_dup_frags");
-                self.metrics.record_dup_frame();
+                self.metrics.bump(node, "eager_dup_frags");
                 return;
             }
             u.absorb(frag, offset, &data);
@@ -517,7 +516,7 @@ impl Cluster {
                 self.notify_app(m.proc, AppEvent::RecvDone(m.req, m.copy_len));
             }
             Err(_) => {
-                self.nodes[node].counters.bump("requests_failed");
+                self.metrics.bump(node, "requests_failed");
                 self.notify_app(m.proc, AppEvent::Failed(m.req, "receive buffer unmapped"));
             }
         }
@@ -538,7 +537,7 @@ impl Cluster {
     ) {
         let node = self.procs[proc.0 as usize].node;
         let Ok((region, owned)) = self.acquire_region(proc, segments) else {
-            self.nodes[node].counters.bump("requests_failed");
+            self.metrics.bump(node, "requests_failed");
             self.notify_app(proc, AppEvent::Failed(req, "send region rejected (empty)"));
             return;
         };
@@ -563,7 +562,7 @@ impl Cluster {
                 retries: 0,
             },
         );
-        self.nodes[node].counters.bump("rndv_msgs_tx");
+        self.metrics.bump(node, "rndv_msgs_tx");
         if hint.resolve(self.cfg.pinning.overlaps()) {
             let presync = self.cfg.presync_pages.min(target);
             if presync > 0 {
@@ -653,6 +652,7 @@ impl Cluster {
 
     fn on_pull_req(
         &mut self,
+        dst: ProcId,
         msg: MsgId,
         pull: PullId,
         block: u32,
@@ -661,7 +661,8 @@ impl Cluster {
     ) {
         let now = self.now;
         let Some(x) = self.xfers.send.get_mut(&msg) else {
-            self.counters.bump("pull_req_stale");
+            let node = self.procs[dst.0 as usize].node;
+            self.metrics.bump(node, "pull_req_stale");
             return;
         };
         let first_pull = !x.pull_seen;
@@ -704,7 +705,7 @@ impl Cluster {
         // Bogus or stale coordinates (e.g. a duplicate request racing a
         // shrunk transfer) must not underflow the block math.
         if block_base >= limit {
-            self.nodes[node].counters.bump("pull_req_bogus");
+            self.metrics.bump(node, "pull_req_bogus");
             return;
         }
         let block_len = self.cfg.pull_block.min(limit - block_base);
@@ -735,7 +736,7 @@ impl Cluster {
             }
         }
         if missed {
-            self.nodes[node].counters.bump("overlap_miss_tx");
+            self.metrics.bump(node, "overlap_miss_tx");
             self.emit(
                 node,
                 Some(proc),
@@ -767,8 +768,8 @@ impl Cluster {
         let ack = self.frame(dst, src, WireMsg::NotifyAck { msg, xfer });
         self.transmit(ack);
         let Some(x) = self.xfers.send.remove(&msg) else {
-            self.counters.bump("notify_dup");
-            self.metrics.record_dup_frame();
+            let node = self.procs[dst.0 as usize].node;
+            self.metrics.bump(node, "notify_dup");
             return; // duplicate notify
         };
         self.cancel_timer(x.rndv_timer);
@@ -896,7 +897,7 @@ impl Cluster {
             // Zero-length posted buffer: fail the receive cleanly; the
             // sender recovers through its normal retry/timeout path.
             self.xfers.recv_hints.remove(&posted.req);
-            self.nodes[node].counters.bump("requests_failed");
+            self.metrics.bump(node, "requests_failed");
             self.notify_app(
                 proc,
                 AppEvent::Failed(posted.req, "receive region rejected (empty)"),
@@ -1089,8 +1090,8 @@ impl Cluster {
             || self.xfers.recv_by_msg.contains_key(&msg)
             || self.procs[idx].endpoint.has_unexpected(msg)
         {
-            self.counters.bump("rndv_dup");
-            self.metrics.record_dup_frame();
+            let node = self.procs[idx].node;
+            self.metrics.bump(node, "rndv_dup");
             return;
         }
         match self.procs[idx].endpoint.match_incoming(match_info) {
@@ -1107,7 +1108,7 @@ impl Cluster {
 
     fn on_pull_reply(
         &mut self,
-        _dst: ProcId,
+        dst: ProcId,
         pull: PullId,
         block: u32,
         frame: u32,
@@ -1117,20 +1118,21 @@ impl Cluster {
         let Some(x) = self.xfers.recv.get_mut(&pull) else {
             // Stale: the transfer already finished (e.g. a duplicated or
             // badly delayed reply outliving its transaction).
-            self.counters.bump("pull_reply_stale");
-            self.metrics.record_dup_frame();
+            let node = self.procs[dst.0 as usize].node;
+            self.metrics.bump(node, "pull_reply_stale");
             return;
         };
         // Bounds before bit math: hostile coordinates must degrade, not
         // panic with a shift overflow or out-of-range index.
         if block as usize >= x.blocks.len() || frame >= x.blocks[block as usize].frames {
-            self.counters.bump("pull_reply_bogus");
+            self.metrics.bump(x.node, "pull_reply_bogus");
             return;
         }
         if x.blocks[block as usize].has(frame) {
-            self.counters.bump("dup_frames_rx");
-            self.metrics.record_dup_frame();
-            return; // duplicate frame
+            // Duplicate pull-reply frames of a live transfer only;
+            // `Metrics::dup_frames_rx()` sums every duplicate kind.
+            self.metrics.bump(x.node, "dup_frames_rx");
+            return;
         }
         let (node, region, proc, xfer_len, xfer) = (x.node, x.region, x.proc, x.xfer_len, x.xfer);
         let len = data.len() as u64;
@@ -1143,9 +1145,7 @@ impl Cluster {
             .region(region)
             .pinned_through(offset, len);
         if !pinned {
-            self.nodes[node].counters.bump("overlap_miss_rx");
-            self.nodes[node].counters.bump("frames_dropped_unpinned");
-            self.metrics.record_overlap_miss();
+            self.metrics.bump(node, "frames_dropped_unpinned");
             self.emit(
                 node,
                 Some(proc),
@@ -1246,8 +1246,7 @@ impl Cluster {
                 return;
             };
             let (node, proc, xfer) = (x.node, x.proc, x.xfer);
-            self.nodes[node].counters.bump("pull_rereq_optimistic");
-            self.metrics.record_retransmit();
+            self.metrics.bump(node, "pull_rereq_optimistic");
             self.emit(
                 node,
                 Some(proc),
@@ -1300,7 +1299,7 @@ impl Cluster {
             }
             Err(_) => {
                 // Region was invalidated mid-copy: treat the frame as lost.
-                n.counters.bump("ioat_landing_miss");
+                self.metrics.bump(node, "ioat_landing_miss");
                 if let Some(x) = self.xfers.recv.get_mut(&pull) {
                     x.clear_received(copy.block, copy.frame);
                 }
@@ -1362,7 +1361,7 @@ impl Cluster {
     fn on_frame_arrival(&mut self, frame: Frame) {
         let dst = frame.dst.proc;
         let node = self.procs[dst.0 as usize].node;
-        self.nodes[node].counters.bump("frames_rx");
+        self.metrics.bump(node, "frames_rx");
         // Incarnation fence: a frame from or to an endpoint that no longer
         // exists (crashed, or restarted under a newer incarnation) dies at
         // the NIC, before any bottom-half cost is charged. Stale traffic
@@ -1401,7 +1400,7 @@ impl Cluster {
     /// Drop a frame at the incarnation fence: count it, attribute it to
     /// its transfer in the trace, and charge nothing further.
     fn fence_frame(&mut self, node: usize, frame: &Frame) {
-        self.nodes[node].counters.bump("frames_fenced");
+        self.metrics.bump(node, "frames_fenced");
         self.emit(
             node,
             Some(frame.dst.proc),
@@ -1446,8 +1445,8 @@ impl Cluster {
                             .observe(self.now.saturating_duration_since(tx.sent_at));
                     }
                 } else {
-                    self.counters.bump("eager_ack_dup");
-                    self.metrics.record_dup_frame();
+                    let node = self.procs[dst.0 as usize].node;
+                    self.metrics.bump(node, "eager_ack_dup");
                 }
             }
             WireMsg::Rndv {
@@ -1463,7 +1462,7 @@ impl Cluster {
                 frame_mask,
                 xfer_len,
                 ..
-            } => self.on_pull_req(msg, pull, block, frame_mask, xfer_len),
+            } => self.on_pull_req(dst, msg, pull, block, frame_mask, xfer_len),
             WireMsg::PullReply {
                 pull,
                 block,
@@ -1495,12 +1494,10 @@ impl Cluster {
         let (rid, owned) = if self.cfg.pinning.caches() {
             match self.procs[idx].cache.lookup(&segments) {
                 crate::cache::CacheOutcome::Hit(rid) => {
-                    self.nodes[node].counters.bump("cache_hit");
                     self.emit(node, Some(proc), TraceEvent::CacheHit { region: rid });
                     (rid, false)
                 }
                 crate::cache::CacheOutcome::Miss => {
-                    self.nodes[node].counters.bump("cache_miss");
                     self.emit(node, Some(proc), TraceEvent::CacheMiss);
                     let rid = self.nodes[node]
                         .driver
@@ -1538,7 +1535,7 @@ impl Cluster {
 
     /// LRU-evicted cache entry: undeclare now if idle, else defer.
     fn evict_cached_region(&mut self, proc: ProcId, node: usize, victim: RegionId) {
-        self.nodes[node].counters.bump("cache_evictions");
+        self.metrics.bump(node, "cache_evictions");
         self.emit(node, Some(proc), TraceEvent::CacheEvict { region: victim });
         if self.nodes[node].driver.region(victim).use_count == 0 {
             let pages = self.nodes[node].driver.region(victim).pinned_pages();
@@ -1608,7 +1605,7 @@ impl Cluster {
         }
         let n = &mut self.nodes[node];
         let pages = n.driver.unpin_region(&mut n.mem, region);
-        n.counters.add("unpin_pages", pages);
+        self.metrics.add(node, "unpin_pages", pages);
         if undeclare {
             n.driver.undeclare(&mut n.mem, region);
             self.emit(node, None, TraceEvent::RegionUndeclare { region });
@@ -1744,11 +1741,7 @@ impl Cluster {
                 let keep = q.hard_cap.saturating_sub(reserved + pages);
                 let evicted = {
                     let n = &mut self.nodes[node];
-                    let evicted = n.driver.pressure_evict_tenant(&mut n.mem, owner, keep);
-                    for (_, p) in &evicted {
-                        n.counters.add("pressure_unpinned_pages", *p);
-                    }
-                    evicted
+                    n.driver.pressure_evict_tenant(&mut n.mem, owner, keep)
                 };
                 for (rid, p) in evicted {
                     self.emit(
@@ -1781,11 +1774,7 @@ impl Cluster {
         let now = self.now;
         let evicted = {
             let n = &mut self.nodes[node];
-            let evicted = n.driver.pressure_evict(&mut n.mem, pages, now, Some(proc));
-            for (_, p) in &evicted {
-                n.counters.add("pressure_unpinned_pages", *p);
-            }
-            evicted
+            n.driver.pressure_evict(&mut n.mem, pages, now, Some(proc))
         };
         for (rid, p) in evicted {
             self.emit(
@@ -1836,13 +1825,13 @@ impl Cluster {
             n.driver.unpin_region(&mut n.mem, region)
         };
         if released > 0 {
-            self.nodes[node].counters.add("unpin_pages", released);
+            self.metrics.add(node, "unpin_pages", released);
         }
         if let Some(r) = self.nodes[node].driver.try_region_mut(region) {
             r.pinning_in_progress = false;
         }
         self.xfers.pin_plans.remove(&(node, region.0));
-        self.nodes[node].counters.bump("quota_denials");
+        self.metrics.bump(node, "quota_denials");
         self.nodes[node].driver.note_quota_denial(owner);
         self.emit(node, Some(owner), TraceEvent::PinDenied { region, pages });
         self.fail_region_users(node, region, "pin quota exceeded");
@@ -1877,7 +1866,7 @@ impl Cluster {
                 .get_mut(&(node, region.0))
                 .expect("plan");
             plan.generation = region_gen;
-            self.nodes[node].counters.bump("pin_pass_restarts");
+            self.metrics.bump(node, "pin_pass_restarts");
             if cursor < target {
                 self.submit_pin_chunk(node, proc, region, cursor, target);
             } else {
@@ -1903,9 +1892,9 @@ impl Cluster {
             let result = n.driver.pin_chunk(&mut n.mem, region, want, false);
             (result, n.mem.pin_calls() - calls_before, stale, attached)
         };
-        self.nodes[node].counters.add("pin_syscalls", pin_calls);
+        self.metrics.add(node, "pin_syscalls", pin_calls);
         if stale_released > 0 {
-            self.nodes[node].counters.add("unpin_pages", stale_released);
+            self.metrics.add(node, "unpin_pages", stale_released);
         }
         match result {
             Err(_) => {
@@ -1917,17 +1906,15 @@ impl Cluster {
                 // budget headroom.
                 let rolled_back = attached_before - stale_released;
                 if rolled_back > 0 {
-                    self.nodes[node].counters.add("unpin_pages", rolled_back);
+                    self.metrics.add(node, "unpin_pages", rolled_back);
                 }
                 self.xfers.pin_plans.remove(&(node, region.0));
-                self.nodes[node].counters.bump("pin_failures");
+                self.metrics.bump(node, "pin_failures");
                 self.fail_region_users(node, region, "pinning failed (invalid region)");
             }
             Ok(mut progress) => {
-                self.nodes[node]
-                    .counters
-                    .add("pin_pages", progress.pages_pinned);
-                self.nodes[node].counters.bump("pin_chunks");
+                self.metrics.add(node, "pin_pages", progress.pages_pinned);
+                self.metrics.bump(node, "pin_chunks");
                 // The pin itself may have broken COW mappings (write
                 // faults under get_user_pages): dispatch those notifier
                 // events like any other invalidation, so *other* regions
@@ -2072,33 +2059,20 @@ impl Cluster {
     }
 
     /// Close the node's deferred-unpin flush epoch: drain the driver's
-    /// coalesced queue in one batch, counting released and cancelled
-    /// entries separately. Called at epoch-timer expiry and early under
-    /// pin-budget pressure.
+    /// coalesced queue in one batch (the driver counts the batch and its
+    /// released and cancelled entries). Called at epoch-timer expiry and
+    /// early under pin-budget pressure.
     pub(crate) fn close_notifier_epoch(&mut self, node: usize) {
         let (released, cancelled) = {
             let n = &mut self.nodes[node];
             n.driver.drain_deferred(&mut n.mem)
         };
-        if released.is_empty() && cancelled.is_empty() {
-            return;
-        }
-        self.metrics.record_notifier_drain_batch();
-        {
-            let n = &mut self.nodes[node];
-            n.counters.bump("notifier_drain_batches");
-            for (_, pages) in &released {
-                n.counters.bump("notifier_region_unpins");
-                n.counters.add("notifier_unpinned_pages", *pages);
-                n.counters.add("unpin_pages", *pages);
-            }
-            n.counters.add("notifier_cancelled", cancelled.len() as u64);
-        }
         for (rid, pages) in released {
+            self.metrics.add(node, "notifier_unpinned_pages", pages);
+            self.metrics.add(node, "unpin_pages", pages);
             self.emit(node, None, TraceEvent::NotifierDrain { region: rid, pages });
         }
         for rid in cancelled {
-            self.metrics.record_notifier_cancelled();
             self.emit(node, None, TraceEvent::NotifierCancel { region: rid });
         }
     }
@@ -2133,7 +2107,7 @@ impl Cluster {
         };
         self.cancel_timer(x.rndv_timer);
         self.release_region(x.proc, x.node, x.region, x.owned);
-        self.nodes[x.node].counters.bump("requests_failed");
+        self.metrics.bump(x.node, "requests_failed");
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
     }
 
@@ -2144,7 +2118,7 @@ impl Cluster {
         self.xfers.recv_by_msg.remove(&x.msg);
         self.cancel_timer(x.stall_timer);
         self.release_region(x.proc, x.node, x.region, x.owned);
-        self.nodes[x.node].counters.bump("requests_failed");
+        self.metrics.bump(x.node, "requests_failed");
         self.notify_app(x.proc, AppEvent::Failed(x.req, reason));
     }
 
@@ -2165,7 +2139,7 @@ impl Cluster {
                 if self.endpoint_gone(peer) {
                     // The peer died: burning the whole retry budget against
                     // a dead endpoint only delays the inevitable. Fail now.
-                    self.nodes[node].counters.bump("peer_dead_aborts");
+                    self.metrics.bump(node, "peer_dead_aborts");
                     self.fail_send(msg, "peer crashed");
                     return;
                 }
@@ -2196,7 +2170,7 @@ impl Cluster {
                     // there is nothing to resend — just keep waiting for
                     // the notify with backoff. Every incoming pull request
                     // resets `retries`, so only total silence exhausts it.
-                    self.nodes[node].counters.bump("send_watchdog_timeouts");
+                    self.metrics.bump(node, "send_watchdog_timeouts");
                     let timeout =
                         self.retrans_timeout(node, RetransKind::Rndv, msg.0, xfer, retries);
                     let t = self.arm_timer(timeout, TimerToken::RndvRetrans(msg));
@@ -2207,8 +2181,7 @@ impl Cluster {
                     }
                     return;
                 }
-                self.nodes[node].counters.bump("rndv_retrans");
-                self.metrics.record_retransmit();
+                self.metrics.bump(node, "rndv_retrans");
                 self.emit(
                     node,
                     Some(proc),
@@ -2233,8 +2206,8 @@ impl Cluster {
                 }
                 if self.endpoint_gone(peer) {
                     self.xfers.eager_tx.remove(&msg);
-                    self.nodes[node].counters.bump("peer_dead_aborts");
-                    self.nodes[node].counters.bump("requests_failed");
+                    self.metrics.bump(node, "peer_dead_aborts");
+                    self.metrics.bump(node, "requests_failed");
                     // SendDone already fired at copy-out (MX semantics);
                     // the handle still reports the late, clean error.
                     self.notify_app(proc, AppEvent::Failed(req, "peer crashed"));
@@ -2242,8 +2215,8 @@ impl Cluster {
                 }
                 if retries > self.cfg.max_retries {
                     self.xfers.eager_tx.remove(&msg);
-                    self.counters.bump("eager_abandoned");
-                    self.nodes[node].counters.bump("requests_failed");
+                    self.metrics.bump(node, "eager_abandoned");
+                    self.metrics.bump(node, "requests_failed");
                     self.emit(
                         node,
                         Some(proc),
@@ -2259,8 +2232,7 @@ impl Cluster {
                     self.notify_app(proc, AppEvent::Failed(req, "eager send unacked"));
                     return;
                 }
-                self.counters.bump("eager_retrans");
-                self.metrics.record_retransmit();
+                self.metrics.bump(node, "eager_retrans");
                 self.emit(
                     node,
                     Some(proc),
@@ -2290,7 +2262,7 @@ impl Cluster {
                     return; // zombie entry (leaky fault injection): let it rot
                 }
                 if self.endpoint_gone(peer) {
-                    self.nodes[node].counters.bump("peer_dead_aborts");
+                    self.metrics.bump(node, "peer_dead_aborts");
                     self.fail_recv(pull, "peer crashed");
                     return;
                 }
@@ -2307,8 +2279,7 @@ impl Cluster {
                     self.fail_recv(pull, "pull transfer stalled");
                     return;
                 }
-                self.nodes[node].counters.bump("pull_stall_timeouts");
-                self.metrics.record_retransmit();
+                self.metrics.bump(node, "pull_stall_timeouts");
                 self.emit(
                     node,
                     Some(proc),
@@ -2359,12 +2330,12 @@ impl Cluster {
                     // The receive already completed locally; the dead
                     // sender will never ack, so just drop the state.
                     self.xfers.notify_pending.remove(&msg);
-                    self.nodes[node].counters.bump("peer_dead_aborts");
+                    self.metrics.bump(node, "peer_dead_aborts");
                     return;
                 }
                 if retries > self.cfg.max_retries {
                     self.xfers.notify_pending.remove(&msg);
-                    self.counters.bump("notify_abandoned");
+                    self.metrics.bump(node, "notify_abandoned");
                     // The receive already completed locally; the sender's
                     // completion watchdog turns this silence into a clean
                     // send-side failure, so nothing hangs.
@@ -2379,8 +2350,7 @@ impl Cluster {
                     );
                     return;
                 }
-                self.counters.bump("notify_retrans");
-                self.metrics.record_retransmit();
+                self.metrics.bump(node, "notify_retrans");
                 self.emit(
                     node,
                     Some(proc),

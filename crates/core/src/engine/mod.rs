@@ -196,7 +196,6 @@ pub(crate) struct Node {
     pub cores: Vec<CpuCore<Work>>,
     pub ioat: IoatEngine,
     pub driver: Driver,
-    pub counters: Counters,
     /// Core the NIC's interrupt bottom half is bound to.
     pub bh_core: usize,
     /// A [`TimerToken::NotifierEpoch`] is pending for this node. Armed
@@ -237,7 +236,6 @@ pub struct Cluster {
     pub(crate) next_xfer: u64,
     pub(crate) next_req: u64,
     pub(crate) next_ioat_token: u64,
-    pub(crate) counters: Counters,
     pub(crate) tracer: Tracer,
     pub(crate) metrics: Metrics,
     pub(crate) now: SimTime,
@@ -273,7 +271,6 @@ impl Cluster {
                     d.set_quota(cfg.pin_quota);
                     d
                 },
-                counters: Counters::new(),
                 bh_core: 0,
                 epoch_armed: false,
             })
@@ -291,9 +288,8 @@ impl Cluster {
             next_xfer: 0,
             next_req: 0,
             next_ioat_token: 0,
-            counters: Counters::new(),
             tracer: Tracer::disabled(),
-            metrics: Metrics::new(),
+            metrics: Metrics::new(node_count),
             now: SimTime::ZERO,
             started: false,
             rtt: RttEstimator::default(),
@@ -451,18 +447,14 @@ impl Cluster {
         self.procs.len()
     }
 
-    /// Global engine counters (merged with per-node counters).
+    /// Engine counters summed over every node.
     pub fn counters(&self) -> Counters {
-        let mut all = self.counters.clone();
-        for n in &self.nodes {
-            all.merge(&n.counters);
-        }
-        all
+        self.metrics.counters()
     }
 
-    /// Per-node counters.
+    /// Engine counters of one node.
     pub fn node_counters(&self, node: usize) -> &Counters {
-        &self.nodes[node].counters
+        self.metrics.node(node)
     }
 
     /// Region cache hit/miss stats of one process.
@@ -719,7 +711,7 @@ impl Cluster {
         let node = self.procs[idx].node;
         let incarnation = self.procs[idx].incarnation;
         self.procs[idx].crashed = true;
-        self.nodes[node].counters.bump("proc_crashes");
+        self.metrics.bump(node, "proc_crashes");
         if leaky {
             self.emit(
                 node,
@@ -748,8 +740,8 @@ impl Cluster {
             n.driver.teardown_proc(&mut n.mem, proc)
         };
         if reaped > 0 {
-            self.nodes[node].counters.add("unpin_pages", reaped);
-            self.nodes[node].counters.add("crash_reaped_pages", reaped);
+            self.metrics.add(node, "unpin_pages", reaped);
+            self.metrics.add(node, "crash_reaped_pages", reaped);
         }
         let space = self.procs[idx].space;
         let events = self.nodes[node]
@@ -798,7 +790,7 @@ impl Cluster {
         slot.crashed = false;
         slot.incarnation += 1;
         let incarnation = slot.incarnation;
-        self.nodes[node].counters.bump("proc_restarts");
+        self.metrics.bump(node, "proc_restarts");
         self.emit(
             node,
             Some(proc),
@@ -810,16 +802,6 @@ impl Cluster {
             app.start(&mut ctx);
             self.procs[idx].app = Some(app);
         }
-    }
-
-    /// True while `proc` is crashed (awaiting restart).
-    pub fn is_crashed(&self, proc: ProcId) -> bool {
-        self.procs[proc.0 as usize].crashed
-    }
-
-    /// Current incarnation of `proc` (0 until its first restart).
-    pub fn incarnation_of(&self, proc: ProcId) -> u32 {
-        self.procs[proc.0 as usize].incarnation
     }
 
     /// Tear down every protocol-table entry touching a dead process. The
@@ -854,9 +836,8 @@ impl Cluster {
         for (k, live_receiver) in dead {
             let m = self.xfers.eager_rx.remove(&k).expect("listed");
             if live_receiver {
-                self.nodes[self.procs[m.proc.0 as usize].node]
-                    .counters
-                    .bump("requests_failed");
+                let node = self.procs[m.proc.0 as usize].node;
+                self.metrics.bump(node, "requests_failed");
                 self.notify_app(m.proc, AppEvent::Failed(m.req, "peer crashed"));
             }
         }
@@ -917,9 +898,8 @@ impl Cluster {
             if s.src.proc == proc {
                 if let Some((req, dp, _, _)) = s.dst {
                     if dp != proc {
-                        self.nodes[self.procs[dp.0 as usize].node]
-                            .counters
-                            .bump("requests_failed");
+                        let node = self.procs[dp.0 as usize].node;
+                        self.metrics.bump(node, "requests_failed");
                         self.notify_app(dp, AppEvent::Failed(req, "peer crashed"));
                     }
                 }
@@ -954,9 +934,7 @@ impl Cluster {
             }
         }
         if purged > 0 {
-            self.nodes[node]
-                .counters
-                .add("unexpected_purged", purged as u64);
+            self.metrics.add(node, "unexpected_purged", purged as u64);
         }
     }
 
@@ -995,9 +973,6 @@ impl Cluster {
             proc,
             event,
         });
-        // Keep the metrics' view of ring overflow current so every
-        // metrics snapshot is self-describing about trace truncation.
-        self.metrics.set_dropped_events(self.tracer.dropped());
     }
 
     /// Submit CPU work on (node, core); schedules the completion event if
@@ -1116,8 +1091,7 @@ impl Cluster {
         ) {
             TxOutcome::Delivered(d) => {
                 if d.reordered {
-                    self.nodes[src_node].counters.bump("net_frames_reordered");
-                    self.metrics.record_fault_injected();
+                    self.metrics.bump(src_node, "net_frames_reordered");
                     self.emit(
                         src_node,
                         None,
@@ -1127,8 +1101,7 @@ impl Cluster {
                     );
                 }
                 if let Some(at2) = d.duplicate_at {
-                    self.nodes[src_node].counters.bump("net_frames_duplicated");
-                    self.metrics.record_fault_injected();
+                    self.metrics.bump(src_node, "net_frames_duplicated");
                     self.emit(
                         src_node,
                         None,
@@ -1151,9 +1124,8 @@ impl Cluster {
                         ("net_frames_link_down", Some(FaultKind::LinkDown))
                     }
                 };
-                self.nodes[src_node].counters.bump(counter);
+                self.metrics.bump(src_node, counter);
                 if let Some(kind) = fault {
-                    self.metrics.record_fault_injected();
                     self.emit(src_node, None, TraceEvent::FaultInjected { kind });
                 }
             }
@@ -1199,22 +1171,18 @@ impl Cluster {
         for ev in events {
             let release = ev.cause == simmem::InvalidateCause::Release;
             let n = &mut self.nodes[node];
+            // The driver counts the event and each region it hits.
             let hit = n.driver.handle_invalidate(&mut n.mem, ev);
-            // One event may hit several regions (and most hit none):
-            // count events and region hits separately.
-            n.counters.bump("notifier_events");
             for (rid, pages) in hit {
                 if release {
                     // Address-space teardown unpinned inside the event:
                     // there is no next use to defer for.
-                    n.counters.bump("notifier_region_unpins");
-                    n.counters.add("notifier_unpinned_pages", pages);
-                    n.counters.add("unpin_pages", pages);
+                    self.metrics.add(node, "notifier_unpinned_pages", pages);
+                    self.metrics.add(node, "unpin_pages", pages);
                     eager.push((rid, pages));
                 } else {
                     // The unpin was parked in the deferred queue; the
                     // stale tail is already protocol-invisible.
-                    n.counters.bump("notifier_deferred");
                     deferred.push((rid, pages));
                 }
             }
@@ -1229,7 +1197,6 @@ impl Cluster {
             self.restart_pin_plan_if_needed(node, rid);
         }
         for (rid, pages) in deferred {
-            self.metrics.record_notifier_deferred();
             self.emit(node, None, TraceEvent::NotifierDefer { region: rid, pages });
             self.restart_pin_plan_if_needed(node, rid);
         }

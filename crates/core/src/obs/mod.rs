@@ -14,9 +14,11 @@
 //! * [`Tracer`] — a bounded ring buffer owned by the
 //!   [`Cluster`](crate::Cluster): a no-op when disabled, O(1) per event
 //!   when enabled, oldest events evicted first;
-//! * [`Metrics`] — always-on latency registry built on
-//!   [`simcore::FixedHistogram`] / [`simcore::OnlineStats`]: pin latency,
-//!   rendezvous round trip, overlap-window width, overlap-miss rate;
+//! * [`Metrics`] — always-on registry: the engine's per-node event
+//!   counters, the totals derived from them, and latency histograms
+//!   built on [`simcore::FixedHistogram`] / [`simcore::OnlineStats`]
+//!   (pin latency, rendezvous round trip, overlap-window width); its
+//!   module doc maps each fact to the one store that counts it;
 //! * [`export`] — Chrome trace-event JSON (loadable in Perfetto / (chrome
 //!   or edge)://tracing) and CSV.
 //!
@@ -97,16 +99,4 @@ pub struct CacheStats {
     pub hits: u64,
     /// Lookups that had to declare a fresh region.
     pub misses: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction in `[0, 1]`; 0 when no lookups happened.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }

@@ -441,7 +441,7 @@ pub fn post_mortem_json(
         metrics.overlap_miss_rate(),
         metrics.dup_frames_rx(),
         metrics.faults_injected(),
-        metrics.dropped_events(),
+        tracer.dropped(),
         metrics.pin_latency.count(),
         metrics.rndv_rtt.count(),
     );
@@ -745,7 +745,7 @@ mod tests {
     #[test]
     fn post_mortem_works_without_tracing() {
         let t = Tracer::disabled();
-        let m = Metrics::new();
+        let m = Metrics::default();
         let json = post_mortem_json("invariant violated", Some("repro:abc"), &t, &m, 8);
         assert!(json.starts_with("{\"reason\":\"invariant violated\""));
         assert!(json.contains("\"repro\":\"repro:abc\""));
@@ -776,7 +776,7 @@ mod tests {
                 TraceEvent::SendDone { msg, xfer: x },
             ));
         }
-        let m = Metrics::new();
+        let m = Metrics::default();
         let json = post_mortem_json("boom", None, &t, &m, 3);
         // Only the 3 newest transfers survive, oldest-first.
         assert!(!json.contains("\"xfer\":7,"));

@@ -110,7 +110,7 @@ fn assert_subsequence(haystack: &[&str], needles: &[&str]) {
 fn overlap_miss_recovery_sequence_is_traced() {
     let cl = run_stream(forced_miss_cfg(), 4 << 20, 2);
 
-    let misses = cl.counters().get("overlap_miss_rx");
+    let misses = cl.counters().get("frames_dropped_unpinned");
     assert!(misses > 0, "scenario must force at least one overlap miss");
     assert_eq!(cl.metrics().overlap_misses(), misses);
     assert!(cl.metrics().overlap_miss_rate() > 0.0);

@@ -211,7 +211,7 @@ fn overlap_misses_are_rare_under_normal_load() {
     let (cl, _) = pingpong(PinningMode::Overlapped, 16 << 20, 3, false);
     let c = cl.counters();
     let frames = c.get("frames_rx");
-    let misses = c.get("overlap_miss_rx") + c.get("overlap_miss_tx");
+    let misses = cl.metrics().overlap_misses() + c.get("overlap_miss_tx");
     assert!(frames > 10_000, "16MB x 3 x 2 dirs is many frames");
     // Paper §4.3: less than 1 in 10 000 under regular load.
     assert!(

@@ -4,7 +4,7 @@
 //! end-to-end latency exactly.
 
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::obs::{build_spans, per_proc_latency};
+use openmx_core::obs::{build_spans, per_proc_latency, post_mortem_json};
 use openmx_core::{OpenMxConfig, PinningMode};
 use simcore::SimDuration;
 use simmem::VirtAddr;
@@ -191,11 +191,10 @@ fn forced_miss_attribution_charges_backoff_and_sums_exactly() {
     assert!(stats[0].p50_ns > 0 && stats[0].p50_ns <= stats[0].p99_ns);
 }
 
-/// The tracer ring's evicted-record count must be mirrored into the
-/// metrics registry, so exports and post-mortems are self-describing
-/// about truncation.
+/// The tracer ring's evicted-record count must reach the post-mortem's
+/// metrics snapshot, so a dump is self-describing about truncation.
 #[test]
-fn dropped_events_mirrored_into_metrics() {
+fn post_mortem_reports_dropped_events() {
     let cfg = OpenMxConfig::with_mode(PinningMode::Overlapped);
     let mut cl = Cluster::new(cfg, 2);
     cl.enable_trace_with_capacity(8);
@@ -218,6 +217,11 @@ fn dropped_events_mirrored_into_metrics() {
         }),
     );
     cl.run(None);
-    assert!(cl.tracer().dropped() > 0);
-    assert_eq!(cl.metrics().dropped_events(), cl.tracer().dropped());
+    let dropped = cl.tracer().dropped();
+    assert!(dropped > 0);
+    let json = post_mortem_json("test", None, cl.tracer(), cl.metrics(), 1);
+    assert!(
+        json.contains(&format!("\"dropped_events\":{dropped},\"pin_bursts\"")),
+        "{json}"
+    );
 }

@@ -73,13 +73,6 @@ impl JobBuilder {
         self.step_all(|_| vec![Op::Compute { dur }]);
     }
 
-    /// Free+malloc buffer `buf` on every rank (defeats the pinning cache
-    /// when the allocator returns fresh pages; exercises MMU-notifier
-    /// invalidation when it returns the same address).
-    pub fn realloc_all(&mut self, buf: usize) {
-        self.step_all(|_| vec![Op::Realloc { buf }]);
-    }
-
     /// IMB PingPong between ranks 0 and 1: one round trip per call.
     pub fn pingpong(&mut self, buf_a: usize, buf_b: usize, len: u64) {
         assert!(self.n >= 2);

@@ -153,11 +153,6 @@ impl<T> EventQueue<T> {
         None
     }
 
-    /// Number of pending entries, *including* lazily cancelled ones.
-    pub fn raw_len(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
         self.live

@@ -46,11 +46,6 @@ impl OnlineStats {
         self.max = self.max.max(x);
     }
 
-    /// Convenience: add a duration observation in microseconds.
-    pub fn push_duration_us(&mut self, d: SimDuration) {
-        self.push(d.as_micros_f64());
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.n

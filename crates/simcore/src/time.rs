@@ -301,12 +301,6 @@ impl Bandwidth {
         Bandwidth(bps)
     }
 
-    /// Construct from megabytes (10^6 bytes) per second.
-    #[inline]
-    pub fn from_mb_per_sec(mbps: f64) -> Self {
-        Self::from_bytes_per_sec(mbps * 1e6)
-    }
-
     /// Construct from gigabytes (10^9 bytes) per second.
     #[inline]
     pub fn from_gb_per_sec(gbps: f64) -> Self {

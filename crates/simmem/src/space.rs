@@ -225,12 +225,6 @@ impl Memory {
         Ok(())
     }
 
-    /// Unregister the notifier.
-    pub fn unregister_notifier(&mut self, id: AsId) -> Result<(), MemError> {
-        self.space_mut(id)?.notifier = false;
-        Ok(())
-    }
-
     fn space(&self, id: AsId) -> Result<&AddressSpace, MemError> {
         self.spaces
             .get(id.0 as usize)
@@ -317,14 +311,6 @@ impl Memory {
             }
         }
         Ok(events)
-    }
-
-    /// True if every byte of `[addr, addr+len)` is inside some VMA.
-    pub fn is_mapped(&self, id: AsId, addr: VirtAddr, len: u64) -> bool {
-        match self.space(id) {
-            Ok(space) => space.vmas.covers(&VpnRange::covering(addr, len.max(1))),
-            Err(_) => false,
-        }
     }
 
     /// Handle a (simulated) page fault at `vpn`. Returns the resident frame.
@@ -629,16 +615,6 @@ impl Memory {
     /// True if `id` names a live (created and not destroyed) address space.
     pub fn space_exists(&self, id: AsId) -> bool {
         self.spaces.get(id.0 as usize).is_some_and(Option::is_some)
-    }
-
-    /// Ids of every live address space, in id order.
-    pub fn space_ids(&self) -> Vec<AsId> {
-        self.spaces
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_some())
-            .map(|(i, _)| AsId(i as u32))
-            .collect()
     }
 
     /// Pages of `[addr, addr+len)` that are resident right now, in address

@@ -60,11 +60,6 @@ impl IoatEngine {
         done
     }
 
-    /// When the engine drains, given no further submissions.
-    pub fn idle_at(&self) -> SimTime {
-        self.free_at
-    }
-
     /// `(descriptors, bytes)` processed so far.
     pub fn totals(&self) -> (u64, u64) {
         (self.copies, self.bytes)

@@ -1265,7 +1265,7 @@ pub fn run_schedule_catching(s: &Schedule, mutation: Option<Mutation>) -> RunOut
                 &format!("panic: {message}"),
                 Some(&encode(s)),
                 &openmx_core::Tracer::disabled(),
-                &openmx_core::Metrics::new(),
+                &openmx_core::Metrics::default(),
                 POST_MORTEM_SPANS,
             );
             RunOutcome {

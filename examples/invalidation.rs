@@ -109,7 +109,7 @@ fn run(use_notifiers: bool) -> bool {
         }),
     );
     cl.run(None);
-    let invalidations = cl.node_counters(0).get("notifier_region_unpins");
+    let invalidations = cl.driver(0).stats().notifier_region_unpins;
     println!("  notifier invalidations on the sender node: {invalidations}");
     corrupted.get()
 }

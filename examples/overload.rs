@@ -50,7 +50,7 @@ fn stream(colocate: bool, ioat: bool) -> (f64, u64, u64) {
     let c = cl.counters();
     (
         bw.bytes_per_sec() / 1e6,
-        c.get("overlap_miss_rx") + c.get("overlap_miss_tx"),
+        cl.metrics().overlap_misses() + c.get("overlap_miss_tx"),
         c.get("pull_stall_timeouts"),
     )
 }

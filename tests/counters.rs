@@ -1,7 +1,8 @@
 //! Counter agreement: every derived total equals the per-kind counters it
-//! sums, and every engine counter that mirrors another store (driver,
-//! region cache, fabric) equals that store. One hostile run fires every
-//! term, so no equality holds vacuously at zero.
+//! sums, the engine's fabric-fault counters equal the fabric's own, and
+//! facts the driver and region cache keep are not copied into the engine
+//! counters. One hostile run fires every term, so no equality holds
+//! vacuously at zero.
 
 mod common;
 
@@ -174,7 +175,7 @@ fn derived_totals_agree_with_their_stores() {
 
     let misses = sum_fired(&c, &["frames_dropped_unpinned"]);
     assert_eq!(m.overlap_misses(), misses);
-    assert_eq!(c.get("overlap_miss_rx"), misses);
+    assert_eq!(c.get("overlap_miss_rx"), 0, "one counter per drop");
 
     let faults = sum_fired(
         &c,
@@ -215,18 +216,22 @@ fn derived_totals_agree_with_their_stores() {
         ),
     ] {
         assert!(total > 0, "{name} never fired");
-        assert_eq!(c.get(name), total, "{name}");
+        assert_eq!(c.get(name), 0, "{name} is the driver's fact");
     }
-    assert_eq!(m.notifier_deferred(), driver(|s| s.notifier_deferred));
-    assert_eq!(m.notifier_cancelled(), driver(|s| s.notifier_cancelled));
-    assert_eq!(
-        m.notifier_drain_batches(),
-        driver(|s| s.notifier_drain_batches)
-    );
 
     let cache = (0..cl.proc_count()).map(|p| cl.cache_stats(ProcId(p as u32)));
     let (hits, misses) = cache.fold((0, 0), |(h, m), s| (h + s.hits, m + s.misses));
     assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
-    assert_eq!(c.get("cache_hit"), hits);
-    assert_eq!(c.get("cache_miss"), misses);
+    assert_eq!(c.get("cache_hit") + c.get("cache_miss"), 0);
+}
+
+#[test]
+fn node_counters_sum_to_the_cluster_totals() {
+    let cl = storm();
+    for (name, total) in cl.counters().iter() {
+        let by_node: u64 = (0..cl.node_count())
+            .map(|node| cl.node_counters(node).get(name))
+            .sum();
+        assert_eq!(by_node, total, "{name}");
+    }
 }

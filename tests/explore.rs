@@ -207,7 +207,12 @@ fn crash_phase_corpus_signatures() {
     // the in-flight plan without tripping pin accounting.
     let out = run("EXPL1;seed=0x24;profile=pressure;nodes=2;ppn=1;ops=\
          X0.0>1.0:262144r,A10,X0.1>1.1:327680r,C0,A80");
-    assert_eq!(out.counters.get("pressure_unpinned_pages"), 128);
+    let pressure: u64 = out
+        .driver_stats
+        .iter()
+        .map(|d| d.pressure_unpinned_pages)
+        .sum();
+    assert_eq!(pressure, 128);
     assert_eq!(out.counters.get("crash_reaped_pages"), 80);
     assert!(out.counters.get("frames_fenced") >= 1);
     assert!(out.counters.get("peer_dead_aborts") >= 1);

@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use common::{cfg, verified_stream};
 use openmx_core::engine::{AppEvent, Cluster, Ctx, ProcId, Process};
-use openmx_core::PinningMode;
+use openmx_core::{DriverStats, PinningMode};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
 use simmem::VirtAddr;
@@ -53,11 +53,10 @@ fn pinned_page_pressure_evicts_idle_regions() {
     }
     let (cl, records) = run_job(&c, 2, 1, b.scripts);
     assert!(records.iter().all(|r| r.failures.is_empty()));
-    let counters = cl.counters();
-    assert!(
-        counters.get("pressure_unpinned_pages") > 0,
-        "the ceiling must force pressure eviction"
-    );
+    let pressure: u64 = (0..2)
+        .map(|node| cl.driver(node).stats().pressure_unpinned_pages)
+        .sum();
+    assert!(pressure > 0, "the ceiling must force pressure eviction");
     for node in 0..2 {
         assert!(
             cl.pinned_peak(node) <= 1024 + 64,
@@ -164,21 +163,23 @@ fn buffer_churn_with_cache_stays_correct() {
     }
     let (cl, records) = run_job(&cfg(PinningMode::Cached), 2, 1, b.scripts);
     assert!(records.iter().all(|r| r.failures.is_empty()));
-    let c = cl.counters();
+    let total = |f: fn(&DriverStats) -> u64| -> u64 {
+        (0..2).map(|node| f(&cl.driver(node).stats())).sum()
+    };
+    let deferred = total(|d| d.notifier_deferred);
     // Each realloc of the pinned buffer must hit the notifier path. The
     // unpins themselves are deferred to the flush epoch now: every hit
     // lands in the deferred queue, and each entry is later either drained
     // (released) or cancelled by a repin that beat the epoch close.
     assert!(
-        c.get("notifier_deferred") >= (rounds - 1) as u64,
-        "each realloc of a pinned buffer must invalidate: {}",
-        c.get("notifier_deferred")
+        deferred >= (rounds - 1) as u64,
+        "each realloc of a pinned buffer must invalidate: {deferred}"
     );
     assert!(
-        c.get("notifier_region_unpins") + c.get("notifier_cancelled") > 0,
+        total(|d| d.notifier_region_unpins) + total(|d| d.notifier_cancelled) > 0,
         "deferred entries must resolve at drain time"
     );
-    assert_eq!(c.get("requests_failed"), 0);
+    assert_eq!(cl.counters().get("requests_failed"), 0);
 }
 
 #[test]

@@ -18,15 +18,15 @@ const LEN: u64 = PAGES * PAGE_SIZE;
 /// to a region or was credited to one of the unpin counters.
 fn assert_ledger_balances(cl: &Cluster, node: usize) {
     let c = cl.node_counters(node);
+    let pressure = cl.driver(node).stats().pressure_unpinned_pages;
     let pinned = cl.driver(node).pinned_pages_total();
     assert_eq!(
         c.get("pin_pages"),
-        c.get("unpin_pages") + c.get("pressure_unpinned_pages") + pinned,
+        c.get("unpin_pages") + pressure + pinned,
         "node {node} pin ledger out of balance: pin_pages={} unpin_pages={} \
-         pressure_unpinned_pages={} attached={pinned}",
+         pressure_unpinned_pages={pressure} attached={pinned}",
         c.get("pin_pages"),
         c.get("unpin_pages"),
-        c.get("pressure_unpinned_pages"),
     );
 }
 
