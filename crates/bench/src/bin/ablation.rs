@@ -9,11 +9,14 @@
 //! * optimistic re-request — recovery latency under loss,
 //! * adaptive per-request hints — the paper's §5 proposal.
 //!
+//! Every table also goes to `ablation.csv` in long format
+//! (`table,row,column,value`), which CI regenerates byte-for-byte.
+//!
 //! Run: `cargo run --release -p openmx-bench --bin ablation`
 
 use openmx_bench::pingpong::{paper_cfg, pingpong_throughput};
 use openmx_bench::sweep::parallel_map;
-use openmx_bench::table::Table;
+use openmx_bench::table::{long_csv, Table};
 use openmx_core::{OpenMxConfig, PinningMode};
 use openmx_mpi::collectives::JobBuilder;
 use openmx_mpi::{run_job, Op};
@@ -23,6 +26,8 @@ fn throughput(cfg: &OpenMxConfig, msg: u64) -> f64 {
 }
 
 fn main() {
+    let mut tables = Vec::new();
+
     // ---- pin chunk size ---------------------------------------------------
     let chunks = [1u64, 8, 32, 128, 1024];
     let rows = parallel_map(chunks.to_vec(), |c| {
@@ -38,6 +43,7 @@ fn main() {
         t.row(vec![format!("{c}"), format!("{v:.0}")]);
     }
     t.emit(None);
+    tables.push(("pin_chunk", t));
 
     // ---- eager threshold ---------------------------------------------------
     let thresholds = [4 * 1024u64, 32 * 1024, 128 * 1024];
@@ -73,6 +79,7 @@ fn main() {
         ]);
     }
     t.emit(None);
+    tables.push(("eager_threshold", t));
 
     // ---- pull window --------------------------------------------------------
     let windows = [1u32, 2, 4, 8];
@@ -89,6 +96,7 @@ fn main() {
         t.row(vec![format!("{w}"), format!("{v:.0}")]);
     }
     t.emit(None);
+    tables.push(("pull_window", t));
 
     // ---- region cache capacity ----------------------------------------------
     // Workload touches 16 distinct 256 KiB buffers round-robin; capacities
@@ -152,6 +160,7 @@ fn main() {
         ]);
     }
     t.emit(None);
+    tables.push(("cache_capacity", t));
 
     // ---- presync pages --------------------------------------------------------
     let presync = [0u64, 8, 64, 256];
@@ -161,13 +170,14 @@ fn main() {
         (p, throughput(&cfg, 1 << 20))
     });
     let mut t = Table::new(
-        "ablation: synchronous presync pages before the initiating message (§4.3 mitigation)",
-        &["presync pages", "MiB/s (1 MiB, normal load)"],
+        "ablation: synchronous presync pages before the initiating message (§4.3 mitigation, 1 MiB, normal load)",
+        &["presync pages", "MiB/s"],
     );
     for (p, v) in rows {
         t.row(vec![format!("{p}"), format!("{v:.0}")]);
     }
     t.emit(None);
+    tables.push(("presync", t));
 
     // ---- allreduce algorithm -------------------------------------------------
     let rows = parallel_map(vec![false, true], |rdouble| {
@@ -203,6 +213,7 @@ fn main() {
         ]);
     }
     t.emit(None);
+    tables.push(("allreduce", t));
 
     // ---- optimistic re-request under loss ---------------------------------------
     let rows = parallel_map(vec![true, false], |on| {
@@ -220,20 +231,26 @@ fn main() {
         t.row(vec![format!("{on}"), format!("{v:.0}")]);
     }
     t.emit(None);
+    tables.push(("optimistic_rerequest", t));
+    std::fs::write("ablation.csv", long_csv(&tables)).expect("write csv");
+    println!("(csv written to ablation.csv)\n");
 
     println!(
         "reading:\n\
-         * pin chunks of 1-32 pages are equivalent; beyond that a cliff appears:\n\
-           the first pull requests reach the sender before its *first* chunk\n\
-           finishes, the whole initial window drops, and — since no later frames\n\
-           arrive to trigger the optimistic re-request — recovery waits the full\n\
-           1 s timeout. The paper's drop-don't-delay policy (§3.3) makes the\n\
-           overlap granularity a correctness-adjacent knob, and its presync idea\n\
-           (§4.3) is exactly the guard for this race.\n\
+         * pin chunks of 1-32 pages are equivalent (925 MiB/s); from 128 pages\n\
+           throughput halves (468 MiB/s): the first pull requests reach the\n\
+           sender before its *first* chunk finishes, the whole initial window\n\
+           drops, and, since no later frames arrive to trigger the optimistic\n\
+           re-request, only the retransmission timer recovers. The paper's\n\
+           drop-don't-delay policy (§3.3) makes the overlap granularity a\n\
+           correctness-adjacent knob, and its presync idea (§4.3) is exactly\n\
+           the guard for this race.\n\
          * window 1 starves the pull pipeline; 2 suffices on this RTT.\n\
          * a region cache smaller than the working set thrashes back to\n\
            pin-per-comm behaviour (44 evictions, zero hits at capacity 4).\n\
          * presync costs a little normal-load throughput for §4.3 insurance.\n\
-         * optimistic re-request is what keeps loss recovery off the 1 s path."
+         * under 1% loss optimistic re-request gains about 7% (502 vs 469\n\
+           MiB/s): the adaptive retransmission timer, far below the 100 ms\n\
+           ceiling, already keeps timeout-only recovery short."
     );
 }

@@ -63,6 +63,16 @@ impl Table {
         out
     }
 
+    /// This table's cells as long-format CSV lines
+    /// `name,row,column,value`, where a row is named by its first cell.
+    fn long_csv_lines(&self, name: &str, out: &mut String) {
+        for row in &self.rows {
+            for (h, cell) in self.headers.iter().zip(row).skip(1) {
+                let _ = writeln!(out, "{name},{},{h},{cell}", row[0]);
+            }
+        }
+    }
+
     /// Print the table and, if `csv_path` is set, also write the CSV.
     pub fn emit(&self, csv_path: Option<&str>) {
         print!("{}", self.render());
@@ -72,6 +82,16 @@ impl Table {
         }
         println!();
     }
+}
+
+/// Several named tables as one long-format CSV with the header
+/// `table,row,column,value`.
+pub fn long_csv(tables: &[(&str, Table)]) -> String {
+    let mut out = String::from("table,row,column,value\n");
+    for (name, t) in tables {
+        t.long_csv_lines(name, &mut out);
+    }
+    out
 }
 
 /// Format a byte count the way the paper's axes do (64kB, 1MB, 16MB).
@@ -100,6 +120,17 @@ mod tests {
         let csv = t.to_csv();
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("size,MiB/s"));
+    }
+
+    #[test]
+    fn long_csv_has_one_line_per_value_cell() {
+        let mut t = Table::new("demo", &["size", "a", "b"]);
+        t.row(vec!["64KiB".into(), "1".into(), "2".into()]);
+        let csv = long_csv(&[("demo", t)]);
+        assert_eq!(
+            csv,
+            "table,row,column,value\ndemo,64KiB,a,1\ndemo,64KiB,b,2\n"
+        );
     }
 
     #[test]

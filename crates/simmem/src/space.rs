@@ -24,11 +24,10 @@
 //! survive `munmap` until the driver drops its pins, exactly as pages held
 //! by `get_user_pages` do.
 
-use std::collections::BTreeMap;
-
-use crate::addr::{page_chunks, Pfn, VirtAddr, Vpn, VpnRange, PAGE_SIZE};
+use crate::addr::{Pfn, VirtAddr, Vpn, VpnRange, PAGE_SIZE};
 use crate::error::MemError;
 use crate::frame::FrameAllocator;
+use crate::pagetable::{PageTable, Pte};
 use crate::vma::{Prot, VmaSet};
 
 /// Identifies one address space within a [`Memory`].
@@ -62,15 +61,9 @@ pub struct NotifierEvent {
     pub cause: InvalidateCause,
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Pte {
-    Resident { pfn: Pfn, cow: bool },
-    Swapped { slot: u32 },
-}
-
 struct AddressSpace {
     vmas: VmaSet,
-    ptes: BTreeMap<u64, Pte>,
+    ptes: PageTable,
     notifier: bool,
     /// Lowest page considered by the gap search; keeps user mappings away
     /// from page 0 so null-ish addresses fault.
@@ -78,23 +71,35 @@ struct AddressSpace {
     limit: Vpn,
 }
 
+/// The swap device. Like the frame pool, its slot table grows on first use
+/// and hands out slots in the order of an eager `(0..capacity).rev()` free
+/// list with LIFO reuse.
 struct SwapSpace {
     slots: Vec<Option<Box<[u8]>>>,
     free: Vec<u32>,
+    capacity: usize,
     used: usize,
 }
 
 impl SwapSpace {
     fn new(capacity: usize) -> Self {
         SwapSpace {
-            slots: (0..capacity).map(|_| None).collect(),
-            free: (0..capacity as u32).rev().collect(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            capacity,
             used: 0,
         }
     }
 
     fn store(&mut self, data: Box<[u8]>) -> Result<u32, MemError> {
-        let slot = self.free.pop().ok_or(MemError::OutOfSwap)?;
+        let slot = match self.free.pop() {
+            Some(slot) => slot,
+            None if self.slots.len() < self.capacity => {
+                self.slots.push(None);
+                self.slots.len() as u32 - 1
+            }
+            None => return Err(MemError::OutOfSwap),
+        };
         self.slots[slot as usize] = Some(data);
         self.used += 1;
         Ok(slot)
@@ -179,7 +184,7 @@ impl Memory {
     pub fn create_space(&mut self) -> AsId {
         let space = AddressSpace {
             vmas: VmaSet::new(),
-            ptes: BTreeMap::new(),
+            ptes: PageTable::default(),
             notifier: false,
             base: Vpn(0x100),
             limit: Vpn(1 << 36), // 48-bit VA, way beyond any workload here
@@ -201,11 +206,8 @@ impl Memory {
         let ptes = std::mem::take(&mut space.ptes);
         let full = VpnRange::new(Vpn(0), space.limit);
         self.spaces[id.0 as usize] = None;
-        for (_, pte) in ptes {
-            match pte {
-                Pte::Resident { pfn, .. } => self.frames.put(pfn),
-                Pte::Swapped { slot } => self.swap.drop_slot(slot),
-            }
+        for pte in ptes.values() {
+            release(&mut self.frames, &mut self.swap, pte);
         }
         Ok(if notifier {
             vec![NotifierEvent {
@@ -233,10 +235,7 @@ impl Memory {
     }
 
     fn space_mut(&mut self, id: AsId) -> Result<&mut AddressSpace, MemError> {
-        self.spaces
-            .get_mut(id.0 as usize)
-            .and_then(Option::as_mut)
-            .ok_or(MemError::NoSuchSpace)
+        space_in(&mut self.spaces, id)
     }
 
     /// Map `len` bytes (rounded up to pages) of zeroed anonymous memory.
@@ -283,108 +282,80 @@ impl Memory {
     ) -> Result<Vec<NotifierEvent>, MemError> {
         let range = VpnRange::covering(addr.page_floor(), len + addr.page_offset());
         let mut events = Vec::new();
-        let mut dropped: Vec<Pte> = Vec::new();
-        {
-            let space = self.space_mut(id)?;
-            let notifier = space.notifier;
-            let removed = space.vmas.remove(range);
-            for sub in removed {
-                let vpns: Vec<u64> = space.ptes.range(sub.as_raw()).map(|(k, _)| *k).collect();
-                for vpn in vpns {
-                    if let Some(pte) = space.ptes.remove(&vpn) {
-                        dropped.push(pte);
-                    }
-                }
-                if notifier {
-                    events.push(NotifierEvent {
-                        space: id,
-                        range: sub,
-                        cause: InvalidateCause::Unmap,
-                    });
-                }
-            }
-        }
-        for pte in dropped {
-            match pte {
-                Pte::Resident { pfn, .. } => self.frames.put(pfn),
-                Pte::Swapped { slot } => self.swap.drop_slot(slot),
+        let Memory {
+            frames,
+            swap,
+            spaces,
+            ..
+        } = self;
+        let space = space_in(spaces, id)?;
+        for sub in space.vmas.remove(range) {
+            space
+                .ptes
+                .drain(sub.as_raw(), |pte| release(frames, swap, pte));
+            if space.notifier {
+                events.push(NotifierEvent {
+                    space: id,
+                    range: sub,
+                    cause: InvalidateCause::Unmap,
+                });
             }
         }
         Ok(events)
     }
 
-    /// Handle a (simulated) page fault at `vpn`. Returns the resident frame.
-    /// With `write == true` this breaks COW, possibly emitting a `CowBreak`
-    /// notifier event into `events`.
-    fn fault(
+    /// Fault in every page of `range` in ascending order, with write access
+    /// if `write` (breaking COW, possibly emitting `CowBreak` notifier
+    /// events into `events`), and hand each resident frame to `each`.
+    ///
+    /// Stops at the first page that fails, after handing over the pages
+    /// before it. The VMA is looked up once per contiguous run and the page
+    /// table walked once per page.
+    fn fault_range(
         &mut self,
         id: AsId,
-        vpn: Vpn,
+        range: VpnRange,
         write: bool,
         events: &mut Vec<NotifierEvent>,
-    ) -> Result<Pfn, MemError> {
-        let space = self.space(id)?;
-        let vma = space
-            .vmas
-            .find(vpn)
-            .ok_or(MemError::BadAddress(vpn.base()))?;
-        if write && !vma.prot.writable() {
-            return Err(MemError::ProtectionFault(vpn.base()));
-        }
-        let notifier = space.notifier;
-        let pte = space.ptes.get(&vpn.0).copied();
-        match pte {
-            None => {
-                // Demand-zero fault.
-                let pfn = self.frames.alloc()?;
-                self.space_mut(id)?
-                    .ptes
-                    .insert(vpn.0, Pte::Resident { pfn, cow: false });
-                Ok(pfn)
+        mut each: impl FnMut(&mut FrameAllocator, Pfn),
+    ) -> Result<(), MemError> {
+        let Memory {
+            frames,
+            swap,
+            spaces,
+            ..
+        } = self;
+        let mut vpn = range.start;
+        while vpn < range.end {
+            let space = space_in(spaces, id)?;
+            let vma = space
+                .vmas
+                .find(vpn)
+                .ok_or(MemError::BadAddress(vpn.base()))?;
+            if write && !vma.prot.writable() {
+                return Err(MemError::ProtectionFault(vpn.base()));
             }
-            Some(Pte::Swapped { slot }) => {
-                let data = self.swap.load(slot);
-                let pfn = self.frames.alloc()?;
-                self.frames.write(pfn, 0, &data);
-                self.space_mut(id)?
-                    .ptes
-                    .insert(vpn.0, Pte::Resident { pfn, cow: false });
-                Ok(pfn)
-            }
-            Some(Pte::Resident { pfn, cow }) => {
-                if write && cow {
-                    if self.frames.refcount(pfn) > 1 {
-                        // Shared: copy to a private frame.
-                        let new = self.frames.alloc()?;
-                        self.frames.copy_frame(pfn, new);
-                        self.frames.put(pfn);
-                        self.space_mut(id)?.ptes.insert(
-                            vpn.0,
-                            Pte::Resident {
-                                pfn: new,
-                                cow: false,
-                            },
-                        );
-                        if notifier {
-                            events.push(NotifierEvent {
-                                space: id,
-                                range: VpnRange::new(vpn, vpn.next()),
-                                cause: InvalidateCause::CowBreak,
-                            });
-                        }
-                        Ok(new)
-                    } else {
-                        // Sole owner: just drop the COW bit.
-                        self.space_mut(id)?
-                            .ptes
-                            .insert(vpn.0, Pte::Resident { pfn, cow: false });
-                        Ok(pfn)
+            let run_end = vma.range.end.min(range.end);
+            for v in vpn.0..run_end.0 {
+                let (pfn, cow_broken) = match fault_pte(frames, swap, space.ptes.slot(v), write) {
+                    Ok(resolved) => resolved,
+                    Err(e) => {
+                        space.ptes.prune(v);
+                        return Err(e);
                     }
-                } else {
-                    Ok(pfn)
+                };
+                if cow_broken && space.notifier {
+                    events.push(NotifierEvent {
+                        space: id,
+                        range: VpnRange::new(Vpn(v), Vpn(v + 1)),
+                        cause: InvalidateCause::CowBreak,
+                    });
                 }
+                each(frames, pfn);
             }
+            vpn = run_end;
         }
+        Ok(())
     }
 
     /// Application write through the page tables. Faults pages in and
@@ -396,26 +367,30 @@ impl Memory {
         data: &[u8],
     ) -> Result<Vec<NotifierEvent>, MemError> {
         let mut events = Vec::new();
+        let range = VpnRange::covering(addr, data.len() as u64);
         let mut cursor = 0usize;
-        for (vpn, off, n) in page_chunks(addr, data.len() as u64) {
-            let pfn = self.fault(id, vpn, true, &mut events)?;
-            self.frames
-                .write(pfn, off, &data[cursor..cursor + n as usize]);
-            cursor += n as usize;
-        }
+        let mut off = addr.page_offset();
+        self.fault_range(id, range, true, &mut events, |frames, pfn| {
+            let n = (PAGE_SIZE - off).min((data.len() - cursor) as u64) as usize;
+            frames.write(pfn, off, &data[cursor..cursor + n]);
+            cursor += n;
+            off = 0;
+        })?;
         Ok(events)
     }
 
     /// Application read through the page tables.
     pub fn read(&mut self, id: AsId, addr: VirtAddr, buf: &mut [u8]) -> Result<(), MemError> {
         let mut events = Vec::new();
+        let range = VpnRange::covering(addr, buf.len() as u64);
         let mut cursor = 0usize;
-        for (vpn, off, n) in page_chunks(addr, buf.len() as u64) {
-            let pfn = self.fault(id, vpn, false, &mut events)?;
-            self.frames
-                .read(pfn, off, &mut buf[cursor..cursor + n as usize]);
-            cursor += n as usize;
-        }
+        let mut off = addr.page_offset();
+        self.fault_range(id, range, false, &mut events, |frames, pfn| {
+            let n = (PAGE_SIZE - off).min((buf.len() - cursor) as u64) as usize;
+            frames.read(pfn, off, &mut buf[cursor..cursor + n]);
+            cursor += n;
+            off = 0;
+        })?;
         debug_assert!(events.is_empty(), "read faults never invalidate");
         Ok(())
     }
@@ -458,26 +433,15 @@ impl Memory {
         self.pin_calls += 1;
         let range = VpnRange::covering(addr, len);
         let mut events = Vec::new();
-        let mut pinned = Vec::with_capacity(range.len() as usize);
-        for vpn in range.iter() {
-            match self.fault(id, vpn, true, &mut events) {
-                Ok(pfn) => {
-                    self.frames.pin(pfn);
-                    pinned.push(pfn);
-                }
-                Err(e) => {
-                    return PartialPin {
-                        pfns: pinned,
-                        events,
-                        error: Some(e),
-                    };
-                }
-            }
-        }
+        let mut pfns = Vec::with_capacity(range.len() as usize);
+        let result = self.fault_range(id, range, true, &mut events, |frames, pfn| {
+            frames.pin(pfn);
+            pfns.push(pfn);
+        });
         PartialPin {
-            pfns: pinned,
+            pfns,
             events,
-            error: None,
+            error: result.err(),
         }
     }
 
@@ -505,7 +469,7 @@ impl Memory {
     pub fn swap_out(&mut self, id: AsId, vpn: Vpn) -> Result<Vec<NotifierEvent>, MemError> {
         let space = self.space(id)?;
         let notifier = space.notifier;
-        let pte = space.ptes.get(&vpn.0).copied();
+        let pte = space.ptes.get(vpn.0);
         match pte {
             Some(Pte::Resident { pfn, cow }) => {
                 if self.frames.is_pinned(pfn) {
@@ -519,9 +483,7 @@ impl Memory {
                 self.frames.read(pfn, 0, &mut data);
                 let slot = self.swap.store(data)?;
                 self.frames.put(pfn);
-                self.space_mut(id)?
-                    .ptes
-                    .insert(vpn.0, Pte::Swapped { slot });
+                *self.space_mut(id)?.ptes.slot(vpn.0) = Some(Pte::Swapped { slot });
                 Ok(if notifier {
                     vec![NotifierEvent {
                         space: id,
@@ -541,7 +503,7 @@ impl Memory {
     pub fn migrate(&mut self, id: AsId, vpn: Vpn) -> Result<Vec<NotifierEvent>, MemError> {
         let space = self.space(id)?;
         let notifier = space.notifier;
-        let pte = space.ptes.get(&vpn.0).copied();
+        let pte = space.ptes.get(vpn.0);
         match pte {
             Some(Pte::Resident { pfn, cow }) => {
                 if self.frames.is_pinned(pfn) {
@@ -550,9 +512,7 @@ impl Memory {
                 let new = self.frames.alloc()?;
                 self.frames.copy_frame(pfn, new);
                 self.frames.put(pfn);
-                self.space_mut(id)?
-                    .ptes
-                    .insert(vpn.0, Pte::Resident { pfn: new, cow });
+                *self.space_mut(id)?.ptes.slot(vpn.0) = Some(Pte::Resident { pfn: new, cow });
                 Ok(if notifier {
                     vec![NotifierEvent {
                         space: id,
@@ -571,22 +531,18 @@ impl Memory {
     /// copy-on-write. Swapped pages are duplicated. (Linux fires no
     /// notifier on fork itself; hazards surface at the later COW breaks.)
     pub fn fork_space(&mut self, parent: AsId) -> Result<AsId, MemError> {
-        let (vmas, ptes) = {
+        let (vmas, mut child_ptes) = {
             let p = self.space(parent)?;
             (p.vmas.clone(), p.ptes.clone())
         };
         let child = self.create_space();
-        let mut child_ptes = BTreeMap::new();
-        for (vpn, pte) in &ptes {
-            match *pte {
-                Pte::Resident { pfn, .. } => {
-                    self.frames.get(pfn);
-                    child_ptes.insert(*vpn, Pte::Resident { pfn, cow: true });
+        for pte in child_ptes.values_mut() {
+            match pte {
+                Pte::Resident { pfn, cow } => {
+                    self.frames.get(*pfn);
+                    *cow = true;
                 }
-                Pte::Swapped { slot } => {
-                    let dup = self.swap.duplicate(slot)?;
-                    child_ptes.insert(*vpn, Pte::Swapped { slot: dup });
-                }
+                Pte::Swapped { slot } => *slot = self.swap.duplicate(*slot)?,
             }
         }
         // Mark the parent's resident pages COW as well.
@@ -606,8 +562,8 @@ impl Memory {
 
     /// The resident frame backing `vpn`, if any (driver-side lookup).
     pub fn resident_pfn(&self, id: AsId, vpn: Vpn) -> Option<Pfn> {
-        match self.space(id).ok()?.ptes.get(&vpn.0)? {
-            Pte::Resident { pfn, .. } => Some(*pfn),
+        match self.space(id).ok()?.ptes.get(vpn.0)? {
+            Pte::Resident { pfn, .. } => Some(pfn),
             Pte::Swapped { .. } => None,
         }
     }
@@ -628,7 +584,7 @@ impl Memory {
             .ptes
             .range(range.as_raw())
             .filter(|(_, pte)| matches!(pte, Pte::Resident { .. }))
-            .map(|(&vpn, _)| Vpn(vpn))
+            .map(|(vpn, _)| Vpn(vpn))
             .collect()
     }
 
@@ -651,6 +607,68 @@ impl Memory {
     /// Pages currently in swap.
     pub fn swap_used(&self) -> usize {
         self.swap.used
+    }
+}
+
+/// The live space `id` of `spaces`; a free function so callers can borrow
+/// the frame pool and swap device alongside it.
+fn space_in(spaces: &mut [Option<AddressSpace>], id: AsId) -> Result<&mut AddressSpace, MemError> {
+    spaces
+        .get_mut(id.0 as usize)
+        .and_then(Option::as_mut)
+        .ok_or(MemError::NoSuchSpace)
+}
+
+/// Drop the frame or swap slot held by an entry leaving a page table.
+fn release(frames: &mut FrameAllocator, swap: &mut SwapSpace, pte: Pte) {
+    match pte {
+        Pte::Resident { pfn, .. } => frames.put(pfn),
+        Pte::Swapped { slot } => swap.drop_slot(slot),
+    }
+}
+
+/// Resolve a fault on one page-table entry: demand-zero a missing page,
+/// swap a swapped one back in, and on a write break COW. Returns the
+/// resident frame and whether a shared frame was replaced by a private
+/// copy. On error the entry is unchanged.
+fn fault_pte(
+    frames: &mut FrameAllocator,
+    swap: &mut SwapSpace,
+    pte: &mut Option<Pte>,
+    write: bool,
+) -> Result<(Pfn, bool), MemError> {
+    match *pte {
+        None => {
+            let pfn = frames.alloc()?;
+            *pte = Some(Pte::Resident { pfn, cow: false });
+            Ok((pfn, false))
+        }
+        Some(Pte::Swapped { slot }) => {
+            // Take the frame before the slot, so running out of frames
+            // leaves the page in swap.
+            let pfn = frames.alloc()?;
+            frames.write(pfn, 0, &swap.load(slot));
+            *pte = Some(Pte::Resident { pfn, cow: false });
+            Ok((pfn, false))
+        }
+        Some(Pte::Resident { pfn, cow: true }) if write => {
+            if frames.refcount(pfn) > 1 {
+                // Shared: copy to a private frame.
+                let new = frames.alloc()?;
+                frames.copy_frame(pfn, new);
+                frames.put(pfn);
+                *pte = Some(Pte::Resident {
+                    pfn: new,
+                    cow: false,
+                });
+                Ok((new, true))
+            } else {
+                // Sole owner: just drop the COW bit.
+                *pte = Some(Pte::Resident { pfn, cow: false });
+                Ok((pfn, false))
+            }
+        }
+        Some(Pte::Resident { pfn, .. }) => Ok((pfn, false)),
     }
 }
 
@@ -791,6 +809,27 @@ mod tests {
         let mut buf = [0u8; 13];
         m.read(a, addr, &mut buf).unwrap(); // faults the page back in
         assert_eq!(&buf, b"swapped bytes");
+        assert_eq!(m.swap_used(), 0);
+    }
+
+    #[test]
+    fn swap_in_out_of_frames_keeps_the_page_in_swap() {
+        let mut m = Memory::new(2, 4);
+        let a = m.create_space();
+        let addr = m.mmap(a, 3 * PAGE_SIZE, Prot::ReadWrite).unwrap();
+        m.write(a, addr, b"kept in swap").unwrap();
+        m.swap_out(a, addr.vpn()).unwrap();
+        let rest = addr.add(PAGE_SIZE);
+        m.write(a, rest, &[1u8; 2 * PAGE_SIZE as usize]).unwrap();
+        let mut buf = [0u8; 12];
+        assert!(matches!(
+            m.read(a, addr, &mut buf),
+            Err(MemError::OutOfMemory)
+        ));
+        assert_eq!(m.swap_used(), 1);
+        m.munmap(a, rest, PAGE_SIZE).unwrap();
+        m.read(a, addr, &mut buf).unwrap();
+        assert_eq!(&buf, b"kept in swap");
         assert_eq!(m.swap_used(), 0);
     }
 
