@@ -20,6 +20,9 @@ struct Frame {
     pin_count: u32,
 }
 
+/// Frames per chunk of the frame table.
+const CHUNK: usize = 512;
+
 /// Fixed-capacity pool of physical frames.
 ///
 /// The frame table grows on first use: creating a pool costs O(1), and a
@@ -27,8 +30,16 @@ struct Frame {
 /// waiting. The hand-out order is therefore exactly that of an eager free
 /// list `(0..capacity).rev()` with LIFO reuse.
 pub struct FrameAllocator {
-    /// Every frame handed out so far, indexed by pfn; `None` once freed.
-    frames: Vec<Option<Frame>>,
+    /// Every frame handed out so far, indexed by pfn in chunks of
+    /// [`CHUNK`]; `None` once freed. A chunk is added, and written, when
+    /// its first pfn is handed out. A whole table reserved up front and
+    /// left unwritten would also cost nothing until touched, but whether
+    /// the heap pages under it are already resident depends on where
+    /// earlier pools lay, so the process's resident set would vary between
+    /// identical runs.
+    chunks: Vec<Box<[Option<Frame>]>>,
+    /// Pfns handed out at least once: `0..used`.
+    used: usize,
     /// Freed pfns, reused last-in first-out.
     free: Vec<Pfn>,
     capacity: usize,
@@ -42,12 +53,8 @@ impl FrameAllocator {
     /// A pool of `capacity` frames.
     pub fn new(capacity: usize) -> Self {
         FrameAllocator {
-            // Reserved but not written, so `new` stays O(1) and capacity no
-            // frame reaches is never backed by memory. Growing by doubling
-            // instead let glibc trim the heap and fault it back in between
-            // short-lived pools: ~140 minor faults per wallbench
-            // `small_a2a` job instead of ~50.
-            frames: Vec::with_capacity(capacity),
+            chunks: Vec::new(),
+            used: 0,
             free: Vec::new(),
             capacity,
             allocated: 0,
@@ -60,13 +67,17 @@ impl FrameAllocator {
     pub fn alloc(&mut self) -> Result<Pfn, MemError> {
         let pfn = match self.free.pop() {
             Some(pfn) => pfn,
-            None if self.frames.len() < self.capacity => {
-                self.frames.push(None);
-                Pfn(self.frames.len() as u32 - 1)
+            None if self.used < self.capacity => {
+                if self.used.is_multiple_of(CHUNK) {
+                    let len = CHUNK.min(self.capacity - self.used);
+                    self.chunks.push((0..len).map(|_| None).collect());
+                }
+                self.used += 1;
+                Pfn(self.used as u32 - 1)
             }
             None => return Err(MemError::OutOfMemory),
         };
-        let slot = &mut self.frames[pfn.0 as usize];
+        let slot = self.slot_mut(pfn).expect("handed-out pfn has a slot");
         debug_assert!(slot.is_none());
         *slot = Some(Frame {
             data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
@@ -77,16 +88,21 @@ impl FrameAllocator {
         Ok(pfn)
     }
 
+    fn slot_mut(&mut self, pfn: Pfn) -> Option<&mut Option<Frame>> {
+        let i = pfn.0 as usize;
+        self.chunks.get_mut(i / CHUNK)?.get_mut(i % CHUNK)
+    }
+
     fn frame(&self, pfn: Pfn) -> &Frame {
-        self.frames
-            .get(pfn.0 as usize)
-            .and_then(Option::as_ref)
+        let i = pfn.0 as usize;
+        self.chunks
+            .get(i / CHUNK)
+            .and_then(|chunk| chunk.get(i % CHUNK)?.as_ref())
             .unwrap_or_else(|| panic!("use of freed frame {pfn:?}"))
     }
 
     fn frame_mut(&mut self, pfn: Pfn) -> &mut Frame {
-        self.frames
-            .get_mut(pfn.0 as usize)
+        self.slot_mut(pfn)
             .and_then(Option::as_mut)
             .unwrap_or_else(|| panic!("use of freed frame {pfn:?}"))
     }
@@ -108,7 +124,7 @@ impl FrameAllocator {
         f.refcount -= 1;
         if f.refcount == 0 {
             assert_eq!(f.pin_count, 0, "freeing pinned frame {pfn:?}");
-            self.frames[pfn.0 as usize] = None;
+            *self.slot_mut(pfn).expect("live frame has a slot") = None;
             self.free.push(pfn);
             self.allocated -= 1;
         }
@@ -230,12 +246,13 @@ mod tests {
         // Reference: the eager pool, every pfn on the free list up front
         // as `(0..cap).rev()` and freed pfns reused last-in first-out.
         let mut rng = simcore::SimRng::new(0x5133_0004);
-        for cap in [1usize, 7, 64] {
+        // The last pool spans a full table chunk and a partial one.
+        for cap in [1usize, 7, 64, CHUNK + 88] {
             let mut fa = FrameAllocator::new(cap);
             let mut eager: Vec<Pfn> = (0..cap as u32).rev().map(Pfn).collect();
             let mut live: Vec<Pfn> = Vec::new();
             let mut ooms = 0;
-            for step in 0..2000 {
+            for step in 0..2000.max(8 * cap) {
                 // Allocate three times in five so the pool runs dry.
                 if live.is_empty() || rng.below(5) < 3 {
                     match (fa.alloc(), eager.pop()) {

@@ -91,8 +91,9 @@ fn random_op(rng: &mut SimRng) -> Op {
 }
 
 /// An op of the leaf-boundary mix: mappings of up to 1100 pages, some fixed
-/// just below vpn 512 or 1024 so they straddle the page table's 512-page
-/// leaves, munmaps that cut them apart, and accesses anywhere inside.
+/// just below vpn 512 or 1024 so they straddle page-table leaf boundaries
+/// (both are boundaries for any leaf of up to 512 pages), munmaps that cut
+/// them apart, and accesses anywhere inside.
 fn leaf_op(rng: &mut SimRng) -> Op {
     let alloc_idx = rng.next_u64() as usize;
     let span = 1100;
