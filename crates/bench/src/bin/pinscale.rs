@@ -16,9 +16,9 @@
 //! * `--smoke`     reduced sweep for CI (fewer query reps, same asserts),
 //! * `--out PATH`  where to write the JSON (default `BENCH_pinscale.json`).
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use openmx_bench::microbench::black_box;
 use openmx_bench::table::Table;
 use openmx_core::{Driver, RegionId, Segment};
 use simcore::SimTime;

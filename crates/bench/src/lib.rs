@@ -5,7 +5,6 @@
 //!   the bench-regression bins,
 //! * [`pingpong`] — the IMB PingPong throughput runner behind Figs. 6–7,
 //! * [`sweep`] — parallel parameter sweeps (one simulation per thread),
-//! * [`microbench`] — wall-clock timing harness for the bench targets,
 //! * [`paper`] — the published numbers we compare against,
 //! * [`chaos`] — hostile-fabric soak runs asserting protocol liveness.
 
@@ -13,7 +12,6 @@
 
 pub mod baseline;
 pub mod chaos;
-pub mod microbench;
 pub mod paper;
 pub mod pingpong;
 pub mod sweep;

@@ -13,7 +13,13 @@
 //! payload and frees the slot when the slot still holds that event, and
 //! does nothing when the event already fired or was cancelled (even if the
 //! slot has since been reused). The heap key stays behind and is skipped
-//! on pop because its slot no longer holds its sequence number.
+//! on pop because its slot no longer holds its sequence number. Once such
+//! stale keys outnumber live events by more than [`COMPACT_FLOOR`], a
+//! cancel rebuilds the heap without them. A rebuild costs O(heap) and
+//! follows at least `live` cancels, so cancel stays amortised O(1) and the
+//! heap holds at most about `2 * live + COMPACT_FLOOR` keys. Pop order
+//! depends only on the unique `(time, seq)` keys, so compaction never
+//! changes it.
 //!
 //! [`EventQueue::pop_until`] pops the earliest event only if it is due by a
 //! deadline, so a stepping loop needs no separate peek.
@@ -22,6 +28,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
+
+/// Stale heap keys tolerated beyond the live count before a cancel
+/// compacts the heap.
+const COMPACT_FLOOR: usize = 32;
 
 /// Identifies a scheduled event so it can be cancelled later.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -37,10 +47,17 @@ struct Slot<T> {
     payload: Option<T>,
 }
 
+impl<T> Slot<T> {
+    /// True while this slot holds the pending event `seq`.
+    fn holds(&self, seq: u64) -> bool {
+        self.seq == seq && self.payload.is_some()
+    }
+}
+
 /// A time-ordered, stable, cancellable event queue.
 pub struct EventQueue<T> {
     /// `(time, seq, slot)` keys, earliest first; keys of cancelled events
-    /// stay until they reach the top.
+    /// stay until they reach the top or the heap is compacted.
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     slots: Vec<Slot<T>>,
     free: Vec<u32>,
@@ -118,7 +135,15 @@ impl<T> EventQueue<T> {
     /// still pending (not yet popped or cancelled). Cancelling an already
     /// fired event is a harmless no-op returning `false`.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        self.take(id.slot, id.seq).is_some()
+        if self.take(id.slot, id.seq).is_none() {
+            return false;
+        }
+        if self.heap.len() - self.live > self.live + COMPACT_FLOOR {
+            let slots = &self.slots;
+            self.heap
+                .retain(|&Reverse((_, seq, slot))| slots[slot as usize].holds(seq));
+        }
+        true
     }
 
     /// Remove and return the earliest pending event, skipping cancelled ones.
@@ -144,8 +169,7 @@ impl<T> EventQueue<T> {
     /// The timestamp of the next pending (non-cancelled) event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(&Reverse((time, seq, slot))) = self.heap.peek() {
-            let s = &self.slots[slot as usize];
-            if s.seq == seq && s.payload.is_some() {
+            if self.slots[slot as usize].holds(seq) {
                 return Some(time);
             }
             self.heap.pop();
@@ -172,7 +196,7 @@ impl<T> EventQueue<T> {
 
 #[cfg(test)]
 mod tests {
-    use std::collections::BTreeMap;
+    use std::collections::{BTreeMap, VecDeque};
 
     use super::*;
     use crate::rng::SimRng;
@@ -285,27 +309,46 @@ mod tests {
     /// `(time, seq)`: every result and every `len()` must agree. Times are
     /// drawn from a few values so ties are common, and cancels pick from
     /// every id ever issued, so stale ids (fired, cancelled, slot reused)
-    /// are cancelled often.
+    /// are cancelled often. Seeds 8..12 are cancel-heavy: half of all
+    /// operations are cancels and deadlines reach far ahead, so stale keys
+    /// pile up and the heap must be compacted.
     #[test]
     fn differential_against_btreemap() {
-        for seed in 0..8 {
+        // Operation draws of the cancel-heavy seeds, mapped onto the arms
+        // below: 3 schedules, 5 cancels, 1 `pop_until` and 1 peek in 10.
+        const CANCEL_HEAVY: [u64; 10] = [0, 0, 0, 4, 4, 4, 4, 4, 7, 9];
+        for seed in 0..12 {
+            let heavy = seed >= 8;
+            let spread = if heavy { 1_000 } else { 6 };
+            let mut compactions = 0;
             let mut rng = SimRng::new(seed);
             let mut q = EventQueue::new();
             let mut model: BTreeMap<(SimTime, u64), u64> = BTreeMap::new();
             let mut issued: Vec<(EventId, SimTime, u64)> = Vec::new();
             let mut now = SimTime::ZERO;
             for step in 0..4_000u64 {
-                match rng.below(10) {
+                let op = rng.below(10);
+                match if heavy { CANCEL_HEAVY[op as usize] } else { op } {
                     0..=3 => {
-                        let at = now + SimDuration::from_nanos(100 * rng.below(6));
+                        let at = now + SimDuration::from_nanos(100 * rng.below(spread));
                         let id = q.schedule(at, step);
                         let seq = issued.len() as u64;
                         model.insert((at, seq), step);
                         issued.push((id, at, seq));
                     }
                     4 | 5 if !issued.is_empty() => {
-                        let (id, at, seq) = issued[rng.below(issued.len() as u64) as usize];
+                        // Cancel-heavy seeds mostly cancel recent timers,
+                        // as an engine re-arming its timers does.
+                        let n = issued.len() as u64;
+                        let i = if heavy {
+                            n - 1 - rng.below(n.min(8))
+                        } else {
+                            rng.below(n)
+                        };
+                        let (id, at, seq) = issued[i as usize];
+                        let keys = q.heap.len();
                         assert_eq!(q.cancel(id), model.remove(&(at, seq)).is_some());
+                        compactions += usize::from(q.heap.len() < keys);
                     }
                     6 => {
                         let want = model.pop_first().map(|((at, _), v)| (at, v));
@@ -340,7 +383,52 @@ mod tests {
             }
             assert_eq!(q.pop(), None);
             assert!(q.is_empty());
+            assert!(!heavy || compactions > 0, "seed {seed}: never compacted");
         }
+    }
+
+    /// Timers armed and cancelled before they fire, as retransmission and
+    /// watchdog timers are, must not leave their keys behind: after every
+    /// step the heap holds at most about twice the live events, and a
+    /// cancel that compacts keeps exactly the live keys.
+    #[test]
+    fn cancelled_keys_do_not_accumulate() {
+        fn assert_bounded(q: &EventQueue<u64>) {
+            let keys = q.heap.len();
+            assert!(keys <= 2 * q.len() + COMPACT_FLOOR + 1, "{keys} keys");
+        }
+        fn cancel(q: &mut EventQueue<u64>, id: EventId) {
+            let keys = q.heap.len();
+            assert!(q.cancel(id));
+            let after = q.heap.len();
+            assert!(after == keys || after == q.len(), "{keys} -> {after} keys");
+            assert_bounded(q);
+        }
+        let mut q = EventQueue::new();
+        q.schedule(t(1_000_000), u64::MAX);
+        // Re-armed timers: cancelling the oldest of eight frees a slot the
+        // next timer reuses, so stale keys name slots that are live again.
+        let mut armed = VecDeque::new();
+        for i in 0..5_000u64 {
+            if armed.len() == 8 {
+                cancel(&mut q, armed.pop_front().unwrap());
+            }
+            armed.push_back(q.schedule(t(1_000 + i), i));
+            assert_bounded(&q);
+        }
+        // Batches of 50 armed, then all cancelled: stale keys name slots
+        // emptied but not yet reused.
+        for i in 5_000..10_000u64 {
+            if i % 50 == 0 {
+                armed.drain(..).for_each(|id| cancel(&mut q, id));
+            }
+            armed.push_back(q.schedule(t(1_000 + i), i));
+            assert_bounded(&q);
+        }
+        armed.drain(..).for_each(|id| cancel(&mut q, id));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((t(1_000_000), u64::MAX)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

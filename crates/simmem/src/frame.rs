@@ -1,9 +1,15 @@
 //! The physical frame pool with byte-backed frames.
 //!
-//! Every frame carries real bytes so the whole stack can be checked for
-//! end-to-end data integrity (a registration cache that goes stale produces
-//! *observable corruption* in tests, exactly the failure mode the paper's
-//! MMU-notifier design eliminates).
+//! Every written frame carries real bytes so the whole stack can be checked
+//! for end-to-end data integrity (a registration cache that goes stale
+//! produces *observable corruption* in tests, exactly the failure mode the
+//! paper's MMU-notifier design eliminates).
+//!
+//! A frame gets its bytes on first write, as Linux maps untouched anonymous
+//! memory to the shared zero page: until then it reads as zeros and costs
+//! no page buffer. A first write of the whole page (a pull reply, a
+//! sender's fill, a swap-in) stores its bytes without zero-filling a buffer
+//! first, and a copy of a never-written frame stays never-written.
 //!
 //! Reference counting mirrors Linux `struct page`:
 //! * `refcount` — how many mappings / pinners hold the frame alive,
@@ -15,10 +21,14 @@ use crate::addr::{Pfn, PAGE_SIZE};
 use crate::error::MemError;
 
 struct Frame {
-    data: Box<[u8]>,
+    /// The page's bytes; `None` until first written, reading as zeros.
+    data: Option<Box<[u8]>>,
     refcount: u32,
     pin_count: u32,
 }
+
+/// What a frame that was never written reads as.
+static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
 
 /// Frames per chunk of the frame table.
 const CHUNK: usize = 512;
@@ -63,7 +73,8 @@ impl FrameAllocator {
         }
     }
 
-    /// Allocate a zeroed frame with refcount 1.
+    /// Allocate a zeroed frame with refcount 1. Its bytes are not
+    /// materialised until first written.
     pub fn alloc(&mut self) -> Result<Pfn, MemError> {
         let pfn = match self.free.pop() {
             Some(pfn) => pfn,
@@ -80,7 +91,7 @@ impl FrameAllocator {
         let slot = self.slot_mut(pfn).expect("handed-out pfn has a slot");
         debug_assert!(slot.is_none());
         *slot = Some(Frame {
-            data: vec![0u8; PAGE_SIZE as usize].into_boxed_slice(),
+            data: None,
             refcount: 1,
             pin_count: 0,
         });
@@ -166,25 +177,29 @@ impl FrameAllocator {
     /// Panics if the access crosses the frame boundary or targets a freed
     /// frame — both are driver bugs, not recoverable conditions.
     pub fn read(&self, pfn: Pfn, offset: u64, buf: &mut [u8]) {
-        let f = self.frame(pfn);
         let off = offset as usize;
-        buf.copy_from_slice(&f.data[off..off + buf.len()]);
+        let page = self.frame(pfn).data.as_deref().unwrap_or(&ZERO_PAGE);
+        buf.copy_from_slice(&page[off..off + buf.len()]);
     }
 
     /// Write bytes into the frame at `offset`.
     pub fn write(&mut self, pfn: Pfn, offset: u64, data: &[u8]) {
-        let f = self.frame_mut(pfn);
         let off = offset as usize;
-        f.data[off..off + data.len()].copy_from_slice(data);
+        let page = &mut self.frame_mut(pfn).data;
+        if page.is_none() && off == 0 && data.len() == PAGE_SIZE as usize {
+            *page = Some(Box::from(data));
+            return;
+        }
+        let page = page.get_or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice());
+        page[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Copy a whole frame's contents onto another frame (COW break,
-    /// migration).
+    /// migration). A copy of a never-written frame stays never-written.
     pub fn copy_frame(&mut self, src: Pfn, dst: Pfn) {
         assert_ne!(src, dst);
-        let mut tmp = vec![0u8; PAGE_SIZE as usize];
-        self.read(src, 0, &mut tmp);
-        self.write(dst, 0, &tmp);
+        let data = self.frame(src).data.clone();
+        self.frame_mut(dst).data = data;
     }
 
     /// Number of frames currently allocated.
@@ -280,13 +295,62 @@ mod tests {
     fn frames_are_zeroed_on_alloc() {
         let mut fa = FrameAllocator::new(2);
         let a = fa.alloc().unwrap();
+        assert_eq!(read_page(&fa, a), vec![0u8; PAGE_SIZE as usize]);
         fa.write(a, 0, &[0xff; 16]);
         fa.put(a);
         let b = fa.alloc().unwrap();
         assert_eq!(b, a);
-        let mut buf = [0xaa; 16];
-        fa.read(b, 0, &mut buf);
-        assert_eq!(buf, [0u8; 16]);
+        assert_eq!(read_page(&fa, b), vec![0u8; PAGE_SIZE as usize]);
+    }
+
+    fn read_page(fa: &FrameAllocator, pfn: Pfn) -> Vec<u8> {
+        let mut page = vec![0xaa; PAGE_SIZE as usize];
+        fa.read(pfn, 0, &mut page);
+        page
+    }
+
+    #[test]
+    fn partial_first_write_keeps_zeros_around_it() {
+        let mut fa = FrameAllocator::new(1);
+        let a = fa.alloc().unwrap();
+        fa.write(a, 1000, b"middle");
+        let page = read_page(&fa, a);
+        assert!(page[..1000].iter().all(|&b| b == 0));
+        assert_eq!(&page[1000..1006], b"middle");
+        assert!(page[1006..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
+    fn full_page_first_write_reads_back() {
+        let mut fa = FrameAllocator::new(1);
+        let a = fa.alloc().unwrap();
+        let mut data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i % 251) as u8 + 1).collect();
+        fa.write(a, 0, &data);
+        assert_eq!(read_page(&fa, a), data);
+        fa.write(a, 10, b"again");
+        data[10..15].copy_from_slice(b"again");
+        assert_eq!(read_page(&fa, a), data);
+    }
+
+    #[test]
+    fn copy_frame_of_never_written_and_written_frames() {
+        let mut fa = FrameAllocator::new(3);
+        let blank = fa.alloc().unwrap();
+        let written = fa.alloc().unwrap();
+        let dst = fa.alloc().unwrap();
+        fa.write(written, 4000, b"tail bytes");
+        fa.write(dst, 0, &[0xee; PAGE_SIZE as usize]);
+        fa.copy_frame(written, dst);
+        let copy = read_page(&fa, dst);
+        assert_eq!(&copy[4000..4010], b"tail bytes");
+        assert_eq!(copy, read_page(&fa, written));
+        fa.copy_frame(blank, dst);
+        assert_eq!(read_page(&fa, dst), vec![0u8; PAGE_SIZE as usize]);
+        assert!(fa.frame(dst).data.is_none(), "the copy stays never-written");
+        // The frames are independent after the copies.
+        fa.write(dst, 0, b"own");
+        assert_eq!(read_page(&fa, blank), vec![0u8; PAGE_SIZE as usize]);
+        assert_eq!(read_page(&fa, written), copy);
     }
 
     #[test]

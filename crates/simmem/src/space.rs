@@ -813,6 +813,27 @@ mod tests {
     }
 
     #[test]
+    fn swap_out_and_in_of_never_written_page() {
+        let mut m = memory();
+        let a = m.create_space();
+        let addr = m.mmap(a, PAGE_SIZE, Prot::ReadWrite).unwrap();
+        let mut page = vec![0xaa; PAGE_SIZE as usize];
+        m.read(a, addr, &mut page).unwrap(); // demand-zero, never written
+        assert!(page.iter().all(|&b| b == 0));
+        m.swap_out(a, addr.vpn()).unwrap();
+        assert_eq!(m.swap_used(), 1);
+        assert_eq!(m.frames().allocated(), 0);
+        page.fill(0xaa);
+        m.read(a, addr, &mut page).unwrap(); // swapped back in
+        assert!(page.iter().all(|&b| b == 0));
+        assert_eq!(m.swap_used(), 0);
+        m.write(a, addr.add(5), b"after").unwrap();
+        m.read(a, addr, &mut page).unwrap();
+        assert_eq!(&page[..10], b"\0\0\0\0\0after");
+        assert!(page[10..].iter().all(|&b| b == 0));
+    }
+
+    #[test]
     fn swap_in_out_of_frames_keeps_the_page_in_swap() {
         let mut m = Memory::new(2, 4);
         let a = m.create_space();
